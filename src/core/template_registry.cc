@@ -5,8 +5,6 @@
 #include <map>
 
 #include "src/core/signature_builder.h"
-#include "src/util/json.h"
-#include "src/util/json_reader.h"
 #include "src/ir/similarity.h"
 
 namespace thor::core {
@@ -183,123 +181,6 @@ TemplateRegistry::Located TemplateRegistry::LocateDetailed(
     }
   }
   return located;
-}
-
-
-std::string TemplateRegistry::ToJson() const {
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("format").String("thor-templates");
-  json.Key("version").Int(1);
-  json.Key("templates").BeginArray();
-  for (const ExtractionTemplate& tmpl : templates_) {
-    json.BeginObject();
-    json.Key("path_symbols").String(tmpl.path_symbols);
-    json.Key("prototype").BeginObject();
-    json.Key("path_symbols").String(tmpl.prototype.path_symbols);
-    json.Key("fanout").Int(tmpl.prototype.fanout);
-    json.Key("depth").Int(tmpl.prototype.depth);
-    json.Key("num_nodes").Int(tmpl.prototype.num_nodes);
-    json.EndObject();
-    json.Key("support").Int(tmpl.support);
-    json.Key("max_distance").Double(tmpl.max_distance);
-    json.Key("min_stable_match").Double(tmpl.min_stable_match);
-    json.Key("stable_tags").BeginArray();
-    for (const ir::VectorEntry& e : tmpl.stable_tags.entries()) {
-      json.BeginArray();
-      json.String(html::TagName(e.id));
-      json.Int(static_cast<long long>(e.weight));
-      json.EndArray();
-    }
-    json.EndArray();
-    json.Key("known_tags").BeginArray();
-    for (const ir::VectorEntry& e : tmpl.known_tags.entries()) {
-      json.String(html::TagName(e.id));
-    }
-    json.EndArray();
-    json.EndObject();
-  }
-  json.EndArray();
-  json.EndObject();
-  return json.str();
-}
-
-Result<TemplateRegistry> TemplateRegistry::FromJson(std::string_view json) {
-  auto document = JsonValue::Parse(json);
-  if (!document.ok()) return document.status();
-  const JsonValue* format = document->Find("format");
-  if (format == nullptr || !format->IsString() ||
-      format->AsString() != "thor-templates") {
-    return Status::InvalidArgument("not a thor-templates document");
-  }
-  const JsonValue* templates = document->Find("templates");
-  if (templates == nullptr || !templates->IsArray()) {
-    return Status::InvalidArgument("missing templates array");
-  }
-  TemplateRegistry registry;
-  for (const JsonValue& entry : templates->items()) {
-    if (!entry.IsObject()) {
-      return Status::InvalidArgument("template entry is not an object");
-    }
-    ExtractionTemplate tmpl;
-    const JsonValue* path = entry.Find("path_symbols");
-    const JsonValue* prototype = entry.Find("prototype");
-    const JsonValue* support = entry.Find("support");
-    const JsonValue* max_distance = entry.Find("max_distance");
-    const JsonValue* min_stable = entry.Find("min_stable_match");
-    const JsonValue* stable = entry.Find("stable_tags");
-    const JsonValue* known = entry.Find("known_tags");
-    if (path == nullptr || !path->IsString() || prototype == nullptr ||
-        !prototype->IsObject() || stable == nullptr || !stable->IsArray() ||
-        known == nullptr || !known->IsArray()) {
-      return Status::InvalidArgument("malformed template entry");
-    }
-    tmpl.path_symbols = path->AsString();
-    auto read_int = [](const JsonValue* object, const char* key, int* out) {
-      const JsonValue* value = object->Find(key);
-      if (value == nullptr || !value->IsNumber()) return false;
-      *out = static_cast<int>(value->AsInt());
-      return true;
-    };
-    const JsonValue* proto_path = prototype->Find("path_symbols");
-    if (proto_path == nullptr || !proto_path->IsString() ||
-        !read_int(prototype, "fanout", &tmpl.prototype.fanout) ||
-        !read_int(prototype, "depth", &tmpl.prototype.depth) ||
-        !read_int(prototype, "num_nodes", &tmpl.prototype.num_nodes)) {
-      return Status::InvalidArgument("malformed prototype");
-    }
-    tmpl.prototype.path_symbols = proto_path->AsString();
-    if (support != nullptr && support->IsNumber()) {
-      tmpl.support = static_cast<int>(support->AsInt());
-    }
-    if (max_distance != nullptr && max_distance->IsNumber()) {
-      tmpl.max_distance = max_distance->AsDouble();
-    }
-    if (min_stable != nullptr && min_stable->IsNumber()) {
-      tmpl.min_stable_match = min_stable->AsDouble();
-    }
-    std::vector<ir::VectorEntry> stable_entries;
-    for (const JsonValue& pair : stable->items()) {
-      if (!pair.IsArray() || pair.items().size() != 2 ||
-          !pair.items()[0].IsString() || !pair.items()[1].IsNumber()) {
-        return Status::InvalidArgument("malformed stable_tags entry");
-      }
-      stable_entries.push_back(
-          {html::InternTag(pair.items()[0].AsString()),
-           static_cast<double>(pair.items()[1].AsInt())});
-    }
-    tmpl.stable_tags = ir::SparseVector::FromPairs(std::move(stable_entries));
-    std::vector<ir::VectorEntry> known_entries;
-    for (const JsonValue& name : known->items()) {
-      if (!name.IsString()) {
-        return Status::InvalidArgument("malformed known_tags entry");
-      }
-      known_entries.push_back({html::InternTag(name.AsString()), 1.0});
-    }
-    tmpl.known_tags = ir::SparseVector::FromPairs(std::move(known_entries));
-    registry.templates_.push_back(std::move(tmpl));
-  }
-  return registry;
 }
 
 TemplateRegistry::Extraction TemplateRegistry::Extract(

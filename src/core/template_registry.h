@@ -61,8 +61,8 @@ class TemplateRegistry {
                                 const ThorResult& result);
 
   /// Builds a registry directly from template records, preserving order.
-  /// Used by alternate deserializers (e.g. the binary store codec); Learn
-  /// remains the only path that derives templates from pages.
+  /// Used by the THORTPL1 codec (serve/template_codec.h); Learn remains
+  /// the only path that derives templates from pages.
   static TemplateRegistry FromTemplates(
       std::vector<ExtractionTemplate> templates);
 
@@ -108,13 +108,6 @@ class TemplateRegistry {
   Extraction Extract(const html::TagTree& tree,
                      const TemplateApplyOptions& options = {},
                      const ObjectPartitionOptions& objects = {}) const;
-
-  /// Serializes the registry to a JSON document. Tag dimensions are stored
-  /// by name, so the document is portable across processes.
-  std::string ToJson() const;
-
-  /// Restores a registry persisted by ToJson().
-  static Result<TemplateRegistry> FromJson(std::string_view json);
 
  private:
   std::vector<ExtractionTemplate> templates_;

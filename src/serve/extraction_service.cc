@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/core/object_partition.h"
 #include "src/util/failpoint.h"
 #include "src/util/parallel.h"
 
@@ -38,23 +37,12 @@ const char* ExtractionService::SourceName(Source source) {
 }
 
 ExtractionService::ExtractionService(TemplateStore* store,
-                                     ServiceOptions options,
-                                     SampleProvider sampler)
+                                     ServiceOptions options)
     : store_(store),
       options_(std::move(options)),
-      sampler_(std::move(sampler)),
       cache_(options_.cache_capacity),
       clock_(options_.clock != nullptr ? options_.clock
                                        : SystemClock::Instance()) {}
-
-ExtractionService::CachedSite ExtractionService::MakeCachedSite(
-    core::TemplateRegistry registry, int64_t generation) const {
-  CachedSite cached{std::move(registry), generation, {}};
-  if (options_.hot_path) {
-    cached.compiled = core::CompiledTemplates::Compile(cached.registry);
-  }
-  return cached;
-}
 
 ExtractionService::SiteHandle ExtractionService::Resolve(
     const std::string& site) {
@@ -70,8 +58,9 @@ ExtractionService::SiteHandle ExtractionService::Resolve(
     }
     return nullptr;
   }
-  return cache_.Put(site, MakeCachedSite(std::move(loaded->registry),
-                                         loaded->generation));
+  CachedSite cached{loaded->generation,
+                    core::CompiledTemplates::Compile(loaded->registry)};
+  return cache_.Put(site, std::move(cached));
 }
 
 ExtractionService::Response ExtractionService::ExtractAgainst(
@@ -79,50 +68,34 @@ ExtractionService::Response ExtractionService::ExtractAgainst(
   Response response;
   if (site_handle == nullptr) return response;  // kMiss, generation 0
   response.generation = site_handle->generation;
-  if (options_.hot_path) {
-    // One extractor per worker thread: its arena, parser, and scratch
-    // buffers persist across requests *and* across batches (the parallel
-    // pool's threads are long-lived), so the steady state allocates
-    // nothing on the request path.
-    static thread_local core::HotExtractor extractor;
-    auto result = extractor.Extract(request.html, site_handle->compiled,
-                                    options_.apply, options_.objects);
-    if (!result.hit) return response;  // kMiss
-    response.source = Source::kTemplate;
-    response.confidence = result.located.Confidence();
-    response.pagelet_path = std::move(result.pagelet_path);
-    response.objects = std::move(result.objects);
-    return response;
-  }
-  core::Page page = core::Page::Parse(request.site, request.html);
-  auto located =
-      site_handle->registry.LocateDetailed(page.tree, options_.apply);
-  if (located.node == html::kInvalidNode) return response;  // kMiss
+  // One extractor per worker thread: its arena, parser, and scratch
+  // buffers persist across requests *and* across batches (the parallel
+  // pool's threads are long-lived), so the steady state allocates nothing
+  // on the request path.
+  static thread_local core::HotExtractor extractor;
+  auto result = extractor.Extract(request.html, site_handle->compiled,
+                                  options_.apply, options_.objects);
+  if (!result.hit) return response;  // kMiss
   response.source = Source::kTemplate;
-  response.confidence = located.Confidence();
-  response.pagelet_path = page.tree.PathString(located.node);
-  auto spans = core::PartitionObjects(page.tree, located.node, {},
-                                      options_.objects);
-  response.objects = core::ObjectTexts(page.tree, spans);
+  response.confidence = result.located.Confidence();
+  response.pagelet_path = std::move(result.pagelet_path);
+  response.objects = std::move(result.objects);
   return response;
 }
 
 bool ExtractionService::ShouldRelearn(const std::string& site, bool known) {
-  if (sampler_ == nullptr && options_.relearn_manager == nullptr) {
-    return false;
-  }
+  if (options_.relearn_manager == nullptr) return false;
   const SiteStats& stats = stats_[site];
   if (!known && stats.relearn_attempts == 0) {
     // Unknown site: the first miss is the learn-once moment.
     return true;
   }
-  // Background mode only: a site the drift detector has flagged relearns
-  // eagerly, after half a window of evidence. The cumulative window test
-  // below almost never fires after a long healthy run (window_requests
-  // keeps growing, diluting a fresh burst of misses), so without this a
-  // mid-stream redesign would take an entire miss-heavy window to notice.
-  if (options_.relearn_manager != nullptr &&
-      stats.drift != DriftState::kHealthy &&
+  // A site the drift detector has flagged relearns eagerly, after half a
+  // window of evidence. The cumulative window test below almost never
+  // fires after a long healthy run (window_requests keeps growing,
+  // diluting a fresh burst of misses), so without this a mid-stream
+  // redesign would take an entire miss-heavy window to notice.
+  if (stats.drift != DriftState::kHealthy &&
       stats.window_requests >=
           std::max(1, options_.relearn_min_requests / 2)) {
     return true;
@@ -164,60 +137,6 @@ void ExtractionService::UpdateDrift(SiteStats& stats,
            static_cast<double>(broken_sites_));
 }
 
-ExtractionService::SiteHandle ExtractionService::Relearn(
-    const std::string& site, const Deadline& batch_deadline) {
-  SiteStats& stats = stats_[site];
-  ++stats.relearn_attempts;
-  stats.window_requests = 0;
-  stats.window_misses = 0;
-  AddCounter(options_.metrics, "serve.relearn_attempts");
-  if (!THOR_FAILPOINT("serve.relearn.begin").ok()) return nullptr;
-  // The relearn runs under the sooner of its own budget and whatever is
-  // left of the batch deadline: a relearn must never outlive the request
-  // that triggered it.
-  Deadline deadline = batch_deadline;
-  if (options_.relearn_deadline_ms > 0.0) {
-    deadline = Deadline::Sooner(
-        deadline, Deadline::After(clock_, options_.relearn_deadline_ms));
-  }
-  if (deadline.expired()) {
-    AddCounter(options_.metrics, "serve.deadline_exceeded");
-    return nullptr;
-  }
-  std::vector<core::Page> pages = sampler_(site);
-  if (pages.empty()) return nullptr;
-  core::ThorOptions relearn_options = options_.relearn;
-  relearn_options.deadline = deadline;
-  auto result = core::RunThor(pages, relearn_options);
-  if (!result.ok()) {
-    // A deadline-aborted relearn commits nothing: no Put, no generation
-    // bump, `serve.relearns` untouched — the store cannot be poisoned by
-    // a half-analyzed sample.
-    if (result.status().code() == StatusCode::kDeadlineExceeded) {
-      AddCounter(options_.metrics, "serve.deadline_exceeded");
-    }
-    return nullptr;
-  }
-  core::TemplateRegistry registry =
-      core::TemplateRegistry::Learn(pages, *result);
-  if (registry.empty()) return nullptr;
-  // Commit the new generation before serving from it; a store write
-  // failure degrades to serving the relearned registry cache-only, with
-  // generation 0 marking the entry as uncommitted (a committed older
-  // generation on disk does not describe this registry).
-  Status put = THOR_FAILPOINT("serve.relearn.commit");
-  if (put.ok()) put = store_->Put(site, registry);
-  int64_t generation = 0;
-  if (put.ok()) {
-    generation = store_->Generation(site);
-    ++stats.relearns;
-    AddCounter(options_.metrics, "serve.relearns");
-  } else {
-    AddCounter(options_.metrics, "serve.store_errors");
-  }
-  return cache_.Put(site, MakeCachedSite(std::move(registry), generation));
-}
-
 ExtractionService::Response ExtractionService::Extract(
     const Request& request) {
   return ExtractBatch({request})[0];
@@ -245,8 +164,8 @@ std::vector<ExtractionService::Response> ExtractionService::ExtractBatch(
           ++stats_[finished.site].relearns;
         }
         cache_.Put(finished.site,
-                   MakeCachedSite(std::move(finished.registry),
-                                  finished.generation));
+                   {finished.generation,
+                    core::CompiledTemplates::Compile(finished.registry)});
       }
     }
   }
@@ -302,14 +221,13 @@ std::vector<ExtractionService::Response> ExtractionService::ExtractBatch(
       options_.threads);
 
   // Pass 3 (serial, index order): accounting and staleness decisions.
-  // Because relearns only happen here, and each one deterministically
-  // re-serves the triggering request and every later request of that
-  // site, the response stream is identical at every thread count. The
-  // account failpoint supports delay/crash chaos at the last boundary; an
-  // error action here is ignored (the work is already done).
+  // Relearn enqueues only happen here, tagged with this batch's ticket, so
+  // which batch adopts a relearned generation — and with it the response
+  // stream — is identical at every thread count. The account failpoint
+  // supports delay/crash chaos at the last boundary; an error action here
+  // is ignored (the work is already done).
   (void)THOR_FAILPOINT("serve.batch.account");
   std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, SiteHandle> regenerated;
   for (size_t i = 0; i < requests.size(); ++i) {
     const Request& request = requests[i];
     Response& response = responses[i];
@@ -322,15 +240,6 @@ std::vector<ExtractionService::Response> ExtractionService::ExtractBatch(
       continue;
     }
     if (!response.error.empty()) continue;
-    auto regen = regenerated.find(request.site);
-    if (regen != regenerated.end()) {
-      // The site was relearned earlier in this batch; serve this request
-      // from the fresh generation instead of the stale snapshot.
-      double start_ms = clock_->NowMs();
-      response = ExtractAgainst(regen->second, request);
-      Observe(options_.metrics, "serve.latency_ms",
-              clock_->NowMs() - start_ms);
-    }
     SiteStats& stats = stats_[request.site];
     ++stats.requests;
     ++stats.window_requests;
@@ -356,39 +265,21 @@ std::vector<ExtractionService::Response> ExtractionService::ExtractBatch(
     bool known = response.generation > 0;
     if (!ShouldRelearn(request.site, known)) continue;
     // A deadline that fired between extraction and accounting must not
-    // start a relearn: the miss stands, the window stays reset-free, and
-    // the batch returns instead of sinking into a full pipeline run.
+    // schedule a relearn: the miss stands and the window stays reset-free.
     if (deadline.expired()) {
       AddCounter(options_.metrics, "serve.deadline_exceeded");
       continue;
     }
-    if (options_.relearn_manager != nullptr) {
-      // Background mode: the serving thread only enqueues. The miss
-      // stands in this batch's response stream; the relearned generation
-      // (if its canary wins) is adopted at a later batch's rendezvous.
-      auto enqueued =
-          options_.relearn_manager->Enqueue(request.site, ticket);
-      if (enqueued == RelearnManager::Enqueued::kAccepted) {
-        ++stats.relearn_attempts;
-        stats.window_requests = 0;
-        stats.window_misses = 0;
-        AddCounter(options_.metrics, "serve.relearn_attempts");
-      }
-      continue;
+    // The serving thread only enqueues. The miss stands in this batch's
+    // response stream; the relearned generation (if its canary wins) is
+    // adopted at a later batch's rendezvous.
+    auto enqueued = options_.relearn_manager->Enqueue(request.site, ticket);
+    if (enqueued == RelearnManager::Enqueued::kAccepted) {
+      ++stats.relearn_attempts;
+      stats.window_requests = 0;
+      stats.window_misses = 0;
+      AddCounter(options_.metrics, "serve.relearn_attempts");
     }
-    // Synchronous fallback: the triggering request's batch eats the full
-    // pipeline run — a stall the background mode exists to eliminate.
-    AddCounter(options_.metrics, "serve.relearn_stalls");
-    SiteHandle fresh = Relearn(request.site, deadline);
-    if (fresh == nullptr) continue;
-    regenerated[request.site] = fresh;
-    Response reserved = ExtractAgainst(fresh, request);
-    // Only a request the fresh registry actually serves is a "relearn"
-    // response; a miss against the new generation stays a miss.
-    if (reserved.source == Source::kTemplate) {
-      reserved.source = Source::kRelearn;
-    }
-    response = std::move(reserved);
   }
   return responses;
 }

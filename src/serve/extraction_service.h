@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -11,9 +10,7 @@
 #include <vector>
 
 #include "src/core/hot_extractor.h"
-#include "src/core/page.h"
 #include "src/core/template_registry.h"
-#include "src/core/thor.h"
 #include "src/serve/relearn_manager.h"
 #include "src/serve/template_store.h"
 #include "src/util/clock.h"
@@ -35,10 +32,10 @@ struct ServiceOptions {
   size_t cache_capacity = 64;
   /// Staleness policy: once a site has served at least this many requests
   /// since its last (re)learn, and its miss rate over that window is at
-  /// least `relearn_miss_rate`, the next miss schedules a full
-  /// Probe→Cluster→Discover relearn. The window resets after every relearn
-  /// attempt, so a site that stays unlearnable degrades to plain misses
-  /// instead of relearn-thrashing.
+  /// least `relearn_miss_rate`, the next miss enqueues a background
+  /// Probe→Cluster→Discover relearn on `relearn_manager`. The window resets
+  /// after every accepted enqueue, so a site that stays unlearnable
+  /// degrades to plain misses instead of relearn-thrashing.
   int relearn_min_requests = 20;
   double relearn_miss_rate = 0.5;
   /// Responses whose confidence lands below this count as low-confidence
@@ -47,36 +44,21 @@ struct ServiceOptions {
   /// Template application / Stage-3 partitioning knobs.
   core::TemplateApplyOptions apply;
   core::ObjectPartitionOptions objects;
-  /// Pipeline configuration used for relearns.
-  core::ThorOptions relearn;
-  /// Upper bound on one relearn's full pipeline run, in milliseconds on
-  /// `clock` (0 = unbounded). A relearn that overruns aborts with a typed
-  /// kDeadlineExceeded — no generation is committed, `serve.relearns` and
-  /// the store stay untouched — and the triggering request degrades to a
-  /// plain miss. Intersected with the batch deadline when both are set.
-  double relearn_deadline_ms = 0.0;
   /// Threads for the ExtractBatch fan-out (0 = process default, 1 =
   /// serial). Responses are index-addressed, so output is identical at
   /// every thread count.
   int threads = 0;
-  /// Serve with the arena hot path (core::HotExtractor over compiled
-  /// templates) instead of the legacy Page::Parse + LocateDetailed
-  /// pipeline. Results are bit-identical either way — that is the
-  /// differential harness's contract — so this exists as an escape hatch
-  /// and for A/B benches, not as a behavior switch.
-  bool hot_path = true;
   /// Optional sinks: serve.* counters and the serve.latency_ms histogram.
   MetricsRegistry* metrics = nullptr;
   /// Time source for the latency histogram (null = wall clock). Tests use
   /// a SimulatedClock to keep snapshots deterministic.
   const Clock* clock = nullptr;
-  /// Background relearn mode: when set (must outlive the service), the
-  /// request path never runs the pipeline inline — relearn decisions only
+  /// Background relearn worker pool (must outlive the service). The
+  /// request path never runs the pipeline: relearn decisions only
   /// *enqueue* jobs on the manager, misses stand in the emitting batch,
   /// and promoted generations are adopted at the ticketed rendezvous at
-  /// the start of a later batch (see relearn_sync_batches). Null keeps the
-  /// synchronous PR-4 behavior (each inline relearn then counts one
-  /// `serve.relearn_stalls`).
+  /// the start of a later batch (see relearn_sync_batches). Null disables
+  /// relearning: misses stay misses.
   RelearnManager* relearn_manager = nullptr;
   /// Adoption lag of the rendezvous, in batches: batch T blocks until all
   /// jobs enqueued at batches <= T - relearn_sync_batches are finished and
@@ -97,30 +79,23 @@ struct ServiceOptions {
 ///
 /// The paper's motivating deep-web search engine cannot rerun two-phase
 /// analysis per fetched page; this service serves every request from
-/// learned templates (store-backed, LRU-cached) and falls back to the full
-/// pipeline only when per-site accounting says the stored knowledge went
-/// stale — graceful degradation, never a hard failure.
+/// learned templates (store-backed, LRU-cached) through one extraction
+/// path, core::HotExtractor, and hands a site to the background
+/// RelearnManager only when per-site accounting says the stored knowledge
+/// went stale — graceful degradation, never a hard failure.
 ///
 /// Thread-safe: concurrent Extract/ExtractBatch calls share the cache and
-/// the per-site accounting under internal locks. Relearns and store writes
-/// are serialized.
+/// the per-site accounting under internal locks.
 class ExtractionService {
  public:
-  /// Supplies a fresh probed sample for `site` when the service decides to
-  /// relearn it. Null/empty return means "cannot sample this site now";
-  /// the service then keeps serving (and missing) from what it has.
-  using SampleProvider =
-      std::function<std::vector<core::Page>(const std::string& site)>;
-
-  /// `store` must outlive the service. `sampler` may be null: the service
-  /// then never relearns (misses stay misses).
-  ExtractionService(TemplateStore* store, ServiceOptions options = {},
-                    SampleProvider sampler = nullptr);
+  /// `store` (and `options.relearn_manager`, when set) must outlive the
+  /// service.
+  ExtractionService(TemplateStore* store, ServiceOptions options = {});
 
   /// Where a response came from.
   enum class Source {
     kTemplate,  ///< served from a stored/cached template
-    kRelearn,   ///< this request triggered a relearn and was re-served
+    kRelearn,   ///< reserved wire name; no serving path produces it
     kMiss,      ///< no template fit (or the site is unknown/unlearnable)
     kShed,      ///< rejected by admission control before extraction
     kDeadline,  ///< dropped because the batch deadline expired first
@@ -150,13 +125,13 @@ class ExtractionService {
 
   /// Extracts a whole batch, fanning the per-request work out over
   /// util/parallel. Accounting, relearn decisions, and the response order
-  /// are all driven in request-index order, so the output (and every
-  /// relearned store generation) is byte-identical at every thread count.
+  /// are all driven in request-index order, so the output is
+  /// byte-identical at every thread count.
   ///
   /// `deadline` bounds the batch: requests the deadline overtakes degrade
   /// to Source::kDeadline responses (error set, `serve.deadline_exceeded`
   /// counted) instead of occupying the serving thread, and no relearn is
-  /// started past the deadline. The default deadline is infinite, which
+  /// enqueued past the deadline. The default deadline is infinite, which
   /// preserves exact thread-count determinism; an expiring deadline is
   /// deterministic only under a SimulatedClock.
   std::vector<Response> ExtractBatch(const std::vector<Request>& requests,
@@ -169,7 +144,7 @@ class ExtractionService {
     int64_t misses = 0;          ///< lifetime misses
     int64_t low_confidence = 0;  ///< lifetime low-confidence hits
     int64_t relearns = 0;         ///< relearns committed to the store
-    int64_t relearn_attempts = 0; ///< relearns tried (failures included)
+    int64_t relearn_attempts = 0; ///< relearns enqueued (failures included)
     int window_requests = 0;      ///< requests since the last relearn window
     int window_misses = 0;
     /// Drift detector state: EWMA of the serving signal and the resulting
@@ -191,36 +166,26 @@ class ExtractionService {
   TemplateStore* store() { return store_; }
 
  private:
-  /// A site's registry as resident in the cache. The compiled form is
-  /// built once here (per load/relearn/adoption) and then shared
-  /// read-only by every worker thread's HotExtractor.
+  /// A site's generation as resident in the cache: its templates compiled
+  /// once per load/adoption, then shared read-only by every worker
+  /// thread's HotExtractor.
   struct CachedSite {
-    core::TemplateRegistry registry;
     int64_t generation = 0;
     core::CompiledTemplates compiled;
   };
   using SiteHandle = std::shared_ptr<const CachedSite>;
-
-  /// Builds a cache entry, compiling the hot-path form when enabled.
-  CachedSite MakeCachedSite(core::TemplateRegistry registry,
-                            int64_t generation) const;
 
   /// Loads `site` through cache → store. Null when the store has nothing
   /// (or the stored bytes are corrupt — degradation, not failure).
   SiteHandle Resolve(const std::string& site);
 
   /// Pure per-request work: parse + locate + partition against `site`'s
-  /// registry (null → miss). Safe to run concurrently.
+  /// compiled templates (null → miss). Safe to run concurrently.
   Response ExtractAgainst(const SiteHandle& site_handle,
                           const Request& request) const;
 
   /// Serial-path policy: returns true when `site` should relearn now.
   bool ShouldRelearn(const std::string& site, bool known);
-  /// Runs the full pipeline on a fresh sample and commits the new
-  /// generation. Returns the new handle, or null when relearn failed
-  /// (including a relearn overtaken by `batch_deadline` or the configured
-  /// relearn_deadline_ms).
-  SiteHandle Relearn(const std::string& site, const Deadline& batch_deadline);
 
   /// Updates `stats.drift_ewma`/`stats.drift` from one served response and
   /// maintains the serve.drift.* exports. Caller holds mu_.
@@ -228,7 +193,6 @@ class ExtractionService {
 
   TemplateStore* store_;
   ServiceOptions options_;
-  SampleProvider sampler_;
   LruCache<std::string, CachedSite> cache_;
   const Clock* clock_;
 
@@ -236,7 +200,7 @@ class ExtractionService {
   /// the first batch).
   std::atomic<uint64_t> batch_ticket_{0};
 
-  mutable std::mutex mu_;  ///< guards stats_ and relearn serialization
+  mutable std::mutex mu_;  ///< guards stats_ and the drift gauges
   std::map<std::string, SiteStats> stats_;
   /// Sites currently classified drifting/broken (serve.drift.* gauges).
   int drifting_sites_ = 0;

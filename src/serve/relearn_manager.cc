@@ -102,13 +102,13 @@ void RelearnManager::DrainLoop() {
   }
 }
 
-int RelearnManager::ScoreSample(const core::TemplateRegistry& registry,
-                                const std::string& site,
+int RelearnManager::ScoreSample(core::HotExtractor* extractor,
+                                const core::CompiledTemplates& templates,
                                 const std::vector<std::string>& sample) const {
   int hits = 0;
   for (const std::string& html : sample) {
-    core::Page page = core::Page::Parse(site, html);
-    auto located = registry.LocateDetailed(page.tree, options_.apply);
+    auto located = extractor->Locate(extractor->Parse(html), templates,
+                                     options_.apply);
     if (located.node != html::kInvalidNode &&
         located.Confidence() >= options_.min_confidence) {
       ++hits;
@@ -122,9 +122,8 @@ RelearnManager::Completed RelearnManager::RunJob(Job job) {
   result.site = job.site;
   result.ticket = job.ticket;
   double start_ms = clock_->NowMs();
-  // PR-5 relearn semantics carry over unchanged: the job runs under its
-  // own budget (plus manager stop), and an overrun aborts at the next
-  // stage boundary with nothing committed.
+  // The job runs under its own budget (plus manager stop), and an overrun
+  // aborts at the next stage boundary with nothing committed.
   Deadline deadline = Deadline::Stoppable(stop_);
   if (options_.relearn_deadline_ms > 0.0) {
     deadline = Deadline::Sooner(
@@ -158,17 +157,22 @@ RelearnManager::Completed RelearnManager::RunJob(Job job) {
   if (registry.empty()) return finish();
 
   // Canary: shadow-extract the fresh generation over the site's recent
-  // pages and require it to retain the live generation's quality. The
-  // poison failpoint forces the fresh generation to score as unusable —
-  // the "deliberately bad canary" chaos hook.
+  // pages with the serving extractor and require it to retain the live
+  // generation's quality. The poison failpoint forces the fresh
+  // generation to score as unusable — the "deliberately bad canary"
+  // chaos hook.
   bool poisoned = !THOR_FAILPOINT("canary.poison").ok();
   bool promote = !poisoned;
   if (promote && !job.sample.empty()) {
-    int canary_hits = ScoreSample(registry, job.site, job.sample);
+    core::HotExtractor extractor;
+    int canary_hits = ScoreSample(
+        &extractor, core::CompiledTemplates::Compile(registry), job.sample);
     int live_hits = 0;
     auto live = store_->Load(job.site);
     if (live.ok()) {
-      live_hits = ScoreSample(live->registry, job.site, job.sample);
+      live_hits = ScoreSample(
+          &extractor, core::CompiledTemplates::Compile(live->registry),
+          job.sample);
     }
     promote = canary_hits >= options_.canary_floor * live_hits - 1e-9;
   }
@@ -184,7 +188,8 @@ RelearnManager::Completed RelearnManager::RunJob(Job job) {
   }
 
   // Commit before serving from it; a store write failure degrades to a
-  // cache-only generation 0, exactly like the synchronous relearn path.
+  // cache-only generation 0 (a committed older generation on disk does
+  // not describe this registry).
   Status put = THOR_FAILPOINT("relearn_mgr.commit");
   if (put.ok()) put = store_->Put(job.site, registry);
   if (put.ok()) {

@@ -12,6 +12,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/core/hot_extractor.h"
 #include "src/core/page.h"
 #include "src/core/template_registry.h"
 #include "src/core/thor.h"
@@ -43,7 +44,7 @@ struct RelearnManagerOptions {
   double min_confidence = 0.35;
   /// Budget for one background relearn, in milliseconds on `clock`
   /// (0 = unbounded), measured from job start. An overrun aborts with
-  /// kDeadlineExceeded and commits nothing (PR-5 relearn semantics).
+  /// kDeadlineExceeded and commits nothing.
   double relearn_deadline_ms = 0.0;
   /// Pipeline configuration used for relearns.
   core::ThorOptions relearn;
@@ -65,7 +66,8 @@ struct RelearnManagerOptions {
 /// run. ExtractBatch only *enqueues* relearn work here (deduplicated per
 /// site, bounded, shed-oldest under overload); jobs drain on util/parallel
 /// workers. Each finished relearn is *canaried* before it can serve: the
-/// fresh registry is shadow-extracted against a ring buffer of the site's
+/// fresh registry is shadow-extracted — through core::HotExtractor, the
+/// same code that will serve it — against a ring buffer of the site's
 /// recent pages and compared with the committed (live) generation. Only a
 /// canary meeting the quality floor is committed to the TemplateStore (the
 /// store's atomic temp+rename commit); a failing canary is auto-rolled-back
@@ -163,10 +165,11 @@ class RelearnManager {
   /// manager stops.
   void DrainLoop();
   Completed RunJob(Job job);
-  /// Shadow-extracts `registry` over `sample`; returns the number of pages
+  /// Shadow-extracts `templates` over `sample` with `extractor` (Parse +
+  /// Locate under the `apply` options); returns the number of pages
   /// located with confidence >= min_confidence.
-  int ScoreSample(const core::TemplateRegistry& registry,
-                  const std::string& site,
+  int ScoreSample(core::HotExtractor* extractor,
+                  const core::CompiledTemplates& templates,
                   const std::vector<std::string>& sample) const;
 
   TemplateStore* store_;

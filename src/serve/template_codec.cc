@@ -130,11 +130,6 @@ bool ReadEntries(Reader* in, ir::SparseVector* out) {
 
 }  // namespace
 
-bool LooksLikeBinaryTemplates(std::string_view blob) {
-  return blob.size() >= sizeof(kMagic) &&
-         std::memcmp(blob.data(), kMagic, sizeof(kMagic)) == 0;
-}
-
 std::string EncodeTemplates(const core::TemplateRegistry& registry) {
   std::string out;
   out.append(kMagic, sizeof(kMagic));
@@ -161,7 +156,7 @@ Result<core::TemplateRegistry> DecodeTemplates(std::string_view blob) {
     return Status::ParseError("template blob truncated: " +
                               std::to_string(blob.size()) + " bytes");
   }
-  if (!LooksLikeBinaryTemplates(blob)) {
+  if (std::memcmp(blob.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::ParseError("template blob: bad magic");
   }
   // Verify the trailer before trusting any length field: a flipped byte

@@ -11,10 +11,11 @@ namespace thor::serve {
 
 /// \brief Versioned, checksummed binary wire format for template registries.
 ///
-/// The TemplateStore's payload format ("THORTPL1"). Compared to the JSON
-/// form it is ~4x smaller, parses in microseconds, and round-trips doubles
-/// bit-exactly (max_distance / min_stable_match / tag weights are stored as
-/// raw IEEE-754 bits, where JSON loses them to decimal formatting).
+/// The one persisted template format ("THORTPL1"): the TemplateStore's
+/// generation files and `thorcli analyze`/`apply`/`dump` files alike. It
+/// parses in microseconds and round-trips doubles bit-exactly
+/// (max_distance / min_stable_match / tag weights are stored as raw
+/// IEEE-754 bits, never through decimal formatting).
 ///
 /// Layout (all integers little-endian, fixed width):
 ///
@@ -36,8 +37,8 @@ namespace thor::serve {
 ///       known entries:   tag name str + weight u64 (double bits)
 ///   checksum   u64      FNV-1a 64 over every preceding byte
 ///
-/// Tag dimensions are stored by *name* (like the JSON format), so blobs
-/// are portable across processes with different tag-intern orders.
+/// Tag dimensions are stored by *name*, so blobs are portable across
+/// processes with different tag-intern orders.
 ///
 /// Decode is hostile-input safe: any truncated prefix or corrupted byte
 /// yields a typed ParseError (the trailing checksum is verified before any
@@ -49,10 +50,6 @@ std::string EncodeTemplates(const core::TemplateRegistry& registry);
 /// Decodes a THORTPL1 blob. ParseError on bad magic, unsupported version,
 /// checksum mismatch, or any structural truncation.
 Result<core::TemplateRegistry> DecodeTemplates(std::string_view blob);
-
-/// True when `blob` starts with the THORTPL1 magic — the store's cheap
-/// dispatch between binary payloads and legacy JSON generations.
-bool LooksLikeBinaryTemplates(std::string_view blob);
 
 }  // namespace thor::serve
 

@@ -83,12 +83,17 @@ Status AtomicWrite(const fs::path& path, const std::string& contents,
   return Status::OK();
 }
 
+/// The one name a committed generation file can have. The manifest's
+/// `file` field must equal it, so no manifest can point a read outside
+/// the store directory.
+std::string GenerationFileName(const std::string& site, int64_t generation) {
+  return site + ".g" + std::to_string(generation) + ".tpl";
+}
+
 /// True when `name` is a generation file (or its in-flight tmp) belonging
-/// to exactly `site`: `<site>.g<digits>.(tpl|json)[.tmp]`. Site names may
-/// contain dots, so a bare prefix test would also match other sites
-/// ("example" vs "example.gov.g1.tpl") — the digits+suffix check pins the
-/// owner. Both payload formats are recognized so GC retires legacy JSON
-/// generations superseded by binary ones.
+/// to exactly `site`: `<site>.g<digits>.tpl[.tmp]`. Site names may contain
+/// dots, so a bare prefix test would also match other sites ("example" vs
+/// "example.gov.g1.tpl") — the digits+suffix check pins the owner.
 bool IsGenerationFileFor(const std::string& site, const std::string& name) {
   const size_t prefix_size = site.size() + 2;  // "<site>.g"
   if (name.size() <= prefix_size ||
@@ -105,8 +110,7 @@ bool IsGenerationFileFor(const std::string& site, const std::string& name) {
   }
   if (digits == 0) return false;
   rest.remove_prefix(digits);
-  return rest == ".tpl" || rest == ".tpl.tmp" || rest == ".json" ||
-         rest == ".json.tmp";
+  return rest == ".tpl" || rest == ".tpl.tmp";
 }
 
 }  // namespace
@@ -169,12 +173,17 @@ Result<TemplateStore> TemplateStore::Open(const std::string& dir) {
         checksum == nullptr || !checksum->IsString()) {
       return Status::ParseError("store manifest corrupt: malformed entry");
     }
-    ManifestEntry manifest;
+    const std::string& name = site->AsString();
+    EntryInfo manifest;
     manifest.generation = generation->AsInt();
-    manifest.file = file->AsString();
+    if (!IsValidSiteName(name) || manifest.generation < 1 ||
+        file->AsString() != GenerationFileName(name, manifest.generation)) {
+      return Status::ParseError("store manifest corrupt: bad entry for \"" +
+                                name + "\"");
+    }
     manifest.checksum =
         std::strtoull(checksum->AsString().c_str(), nullptr, 16);
-    store.entries_[site->AsString()] = std::move(manifest);
+    store.entries_[name] = manifest;
   }
   return store;
 }
@@ -189,7 +198,7 @@ std::string TemplateStore::ManifestJson() const {
     json.BeginObject();
     json.Key("site").String(site);
     json.Key("generation").Int(entry.generation);
-    json.Key("file").String(entry.file);
+    json.Key("file").String(GenerationFileName(site, entry.generation));
     json.Key("checksum").String(ChecksumHex(entry.checksum));
     json.EndObject();
   }
@@ -216,29 +225,24 @@ Status TemplateStore::Put(const std::string& site,
 Status TemplateStore::CommitLocked(const std::string& site,
                                    const std::string& document,
                                    int64_t generation) {
-  auto committed = entries_.find(site);
-  ManifestEntry next;
+  EntryInfo next;
   next.generation = generation;
-  next.file = site + ".g" + std::to_string(next.generation) + ".tpl";
   next.checksum = Fnv1a64(document);
-  fs::path file_path = fs::path(dir_) / next.file;
+  const std::string file = GenerationFileName(site, generation);
 
   // The new generation's bytes land under a temp name, then rename. A
   // failure at either step leaves at worst an orphaned file that nothing
   // points at (GC'd by the next successful Put).
-  THOR_RETURN_IF_ERROR(
-      AtomicWrite(file_path, document, "store.put.template_rename"));
+  THOR_RETURN_IF_ERROR(AtomicWrite(fs::path(dir_) / file, document,
+                                   "store.put.template_rename"));
   THOR_RETURN_IF_ERROR(THOR_FAILPOINT("store.put.template_committed"));
 
   // Commit the manifest the same way. Only the final rename flips readers
   // from the old generation to the new one.
-  std::string previous_file;
-  ManifestEntry saved;
+  auto committed = entries_.find(site);
   bool existed = committed != entries_.end();
-  if (existed) {
-    previous_file = committed->second.file;
-    saved = committed->second;
-  }
+  EntryInfo saved;
+  if (existed) saved = committed->second;
   entries_[site] = next;
   std::string manifest = ManifestJson();
   Status st = AtomicWrite(fs::path(dir_) / kManifestName, manifest,
@@ -265,8 +269,7 @@ Status TemplateStore::CommitLocked(const std::string& site,
   std::error_code ec;
   for (const auto& dirent : fs::directory_iterator(dir_, ec)) {
     std::string name = dirent.path().filename().string();
-    if (name == next.file || name == kManifestName) continue;
-    if (IsGenerationFileFor(site, name) || name == previous_file) {
+    if (name != file && IsGenerationFileFor(site, name)) {
       fs::remove(dirent.path(), ec);
     }
   }
@@ -275,62 +278,18 @@ Status TemplateStore::CommitLocked(const std::string& site,
 
 Result<TemplateStore::Loaded> TemplateStore::Load(
     const std::string& site) const {
-  ManifestEntry entry;
-  {
-    std::lock_guard<std::mutex> lock(*mu_);
-    auto it = entries_.find(site);
-    if (it == entries_.end()) {
-      return Status::NotFound("site \"" + site + "\" not in store");
-    }
-    entry = it->second;
+  auto raw = ReadRaw(site);
+  if (!raw.ok()) return raw.status();
+  THOR_RETURN_IF_ERROR(THOR_FAILPOINT("store.load.deserialize"));
+  auto registry = DecodeTemplates(raw->payload);
+  if (!registry.ok()) {
+    return Status::ParseError("template file for \"" + site +
+                              "\" corrupt: " + registry.status().message());
   }
-  // The file read happens outside the lock, so a concurrent Put can commit
-  // a newer generation and GC `entry.file` under us. That is not
-  // corruption: on a read/checksum failure, re-check the manifest and
-  // retry against the newer generation (the old-or-new contract). Only an
-  // entry that is *still current* yet unreadable is a real store error.
-  for (int attempt = 0;; ++attempt) {
-    Status failure = Status::OK();
-    THOR_RETURN_IF_ERROR(THOR_FAILPOINT("store.load.read"));
-    auto document = ReadFile(fs::path(dir_) / entry.file);
-    if (!document.ok()) {
-      failure = Status::Internal("template file for \"" + site +
-                                 "\" missing or unreadable: " +
-                                 document.status().message());
-    } else if (Fnv1a64(*document) != entry.checksum) {
-      failure = Status::Internal("template file for \"" + site +
-                                 "\" corrupt: checksum mismatch (" +
-                                 entry.file + ")");
-    } else {
-      THOR_RETURN_IF_ERROR(THOR_FAILPOINT("store.load.deserialize"));
-      // Payload dispatch by content, not extension: new generations are
-      // THORTPL1 blobs, generations written before the binary format are
-      // JSON (read-compat until their next Put supersedes them).
-      auto registry = LooksLikeBinaryTemplates(*document)
-                          ? DecodeTemplates(*document)
-                          : core::TemplateRegistry::FromJson(*document);
-      if (!registry.ok()) {
-        return Status::ParseError("template file for \"" + site +
-                                  "\" corrupt: " +
-                                  registry.status().message());
-      }
-      Loaded loaded;
-      loaded.registry = std::move(*registry);
-      loaded.generation = entry.generation;
-      return loaded;
-    }
-    constexpr int kMaxLoadRetries = 4;
-    std::lock_guard<std::mutex> lock(*mu_);
-    auto it = entries_.find(site);
-    if (it == entries_.end()) {
-      return Status::NotFound("site \"" + site + "\" not in store");
-    }
-    if (it->second.generation == entry.generation ||
-        attempt >= kMaxLoadRetries) {
-      return failure;
-    }
-    entry = it->second;
-  }
+  Loaded loaded;
+  loaded.registry = std::move(*registry);
+  loaded.generation = raw->generation;
+  return loaded;
 }
 
 int64_t TemplateStore::Generation(const std::string& site) const {
@@ -350,16 +309,12 @@ std::vector<std::string> TemplateStore::Sites() const {
 std::map<std::string, TemplateStore::EntryInfo> TemplateStore::Entries()
     const {
   std::lock_guard<std::mutex> lock(*mu_);
-  std::map<std::string, EntryInfo> view;
-  for (const auto& [site, entry] : entries_) {
-    view[site] = EntryInfo{entry.generation, entry.checksum};
-  }
-  return view;
+  return entries_;
 }
 
 Result<TemplateStore::Raw> TemplateStore::ReadRaw(
     const std::string& site) const {
-  ManifestEntry entry;
+  EntryInfo entry;
   {
     std::lock_guard<std::mutex> lock(*mu_);
     auto it = entries_.find(site);
@@ -368,20 +323,25 @@ Result<TemplateStore::Raw> TemplateStore::ReadRaw(
     }
     entry = it->second;
   }
-  // Same unlocked-read / old-or-new retry discipline as Load: a concurrent
-  // Put may GC entry.file under us, in which case the manifest now points
-  // at a newer generation and the read retries against that.
+  // The file read happens outside the lock, so a concurrent Put can commit
+  // a newer generation and GC this one under us. That is not corruption:
+  // on a read/checksum failure, re-check the manifest and retry against the
+  // newer generation (the old-or-new contract). Only an entry that is
+  // *still current* yet unreadable is a real store error.
+  constexpr int kMaxLoadRetries = 4;
   for (int attempt = 0;; ++attempt) {
+    THOR_RETURN_IF_ERROR(THOR_FAILPOINT("store.load.read"));
+    const std::string file = GenerationFileName(site, entry.generation);
+    auto document = ReadFile(fs::path(dir_) / file);
     Status failure = Status::OK();
-    auto document = ReadFile(fs::path(dir_) / entry.file);
     if (!document.ok()) {
       failure = Status::Internal("template file for \"" + site +
                                  "\" missing or unreadable: " +
                                  document.status().message());
     } else if (Fnv1a64(*document) != entry.checksum) {
       failure = Status::Internal("template file for \"" + site +
-                                 "\" corrupt: checksum mismatch (" +
-                                 entry.file + ")");
+                                 "\" corrupt: checksum mismatch (" + file +
+                                 ")");
     } else {
       Raw raw;
       raw.generation = entry.generation;
@@ -389,7 +349,6 @@ Result<TemplateStore::Raw> TemplateStore::ReadRaw(
       raw.payload = std::move(*document);
       return raw;
     }
-    constexpr int kMaxLoadRetries = 4;
     std::lock_guard<std::mutex> lock(*mu_);
     auto it = entries_.find(site);
     if (it == entries_.end()) {
@@ -415,9 +374,7 @@ Status TemplateStore::AdoptGeneration(const std::string& site,
   }
   // A payload that does not deserialize must never become the committed
   // generation — a corrupt peer would otherwise poison this replica.
-  auto registry = LooksLikeBinaryTemplates(payload)
-                      ? DecodeTemplates(payload)
-                      : core::TemplateRegistry::FromJson(payload);
+  auto registry = DecodeTemplates(payload);
   if (!registry.ok()) {
     return Status::ParseError("adopted payload for \"" + site +
                               "\" corrupt: " + registry.status().message());

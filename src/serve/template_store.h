@@ -25,10 +25,9 @@ namespace thor::serve {
 ///   DIR/<site>.g<N>.tpl        THORTPL1 binary blob of generation N
 ///                              (see serve/template_codec.h)
 ///
-/// Generations written before the binary format used `<site>.g<N>.json`
-/// (TemplateRegistry::ToJson); Load still reads them — dispatch is by
-/// content sniff, not extension — and the next Put for the site writes a
-/// binary generation and garbage-collects the JSON one.
+/// The file name is a function of site and generation; Open rejects a
+/// manifest entry naming any other file, so no manifest can steer a read
+/// outside DIR.
 ///
 /// Every write is temp-file + fsync + atomic rename, and a new
 /// generation's file is fully committed *before* the manifest starts
@@ -52,8 +51,9 @@ namespace thor::serve {
 class TemplateStore {
  public:
   /// Opens (creating the directory and an empty manifest view if needed).
-  /// A corrupt manifest is a ParseError; an unreadable directory is an
-  /// Internal error.
+  /// A corrupt manifest — including an entry whose site name is invalid or
+  /// whose file is not `<site>.g<generation>.tpl` — is a ParseError; an
+  /// unreadable directory is an Internal error.
   static Result<TemplateStore> Open(const std::string& dir);
 
   TemplateStore(TemplateStore&&) = default;
@@ -72,9 +72,10 @@ class TemplateStore {
     int64_t generation = 0;
   };
 
-  /// Loads the committed generation of `site`. NotFound when the site was
-  /// never stored; Internal on checksum mismatch or a missing template
-  /// file; ParseError when the stored document no longer deserializes.
+  /// Loads the committed generation of `site`: ReadRaw, then the
+  /// `store.load.deserialize` failpoint and DecodeTemplates. NotFound when
+  /// the site was never stored; Internal on checksum mismatch or a missing
+  /// template file; ParseError when the stored blob no longer decodes.
   Result<Loaded> Load(const std::string& site) const;
 
   /// Committed generation number of `site`, 0 when absent.
@@ -93,7 +94,9 @@ class TemplateStore {
 
   /// The committed generation of `site` as raw payload bytes (the exact
   /// file contents the checksum covers) — what anti-entropy ships between
-  /// replicas. Same error taxonomy and old-or-new retry as Load.
+  /// replicas, and the read half of Load. Each attempt crosses the
+  /// `store.load.read` failpoint; a read or checksum failure re-checks the
+  /// manifest and retries against a newer generation (old-or-new).
   struct Raw {
     int64_t generation = 0;
     uint64_t checksum = 0;
@@ -105,7 +108,7 @@ class TemplateStore {
   /// receiving half of anti-entropy, adopting a peer replica's committed
   /// bytes instead of re-serializing a registry (so the checksum, and with
   /// it the generation ledger chain, matches the sender's exactly). The
-  /// payload must deserialize as a template document. Adopting a stale
+  /// payload must decode as a THORTPL1 blob. Adopting a stale
   /// generation (older than the committed one) is a silent no-op — a
   /// concurrent local relearn may have raced ahead. An equal-generation
   /// divergence (split-brain twins) resolves deterministically: the
@@ -125,12 +128,6 @@ class TemplateStore {
   const std::string& dir() const { return dir_; }
 
  private:
-  struct ManifestEntry {
-    int64_t generation = 0;
-    std::string file;
-    uint64_t checksum = 0;
-  };
-
   explicit TemplateStore(std::string dir) : dir_(std::move(dir)) {}
 
   /// Renders the committed view as MANIFEST.json text.
@@ -143,7 +140,7 @@ class TemplateStore {
                       int64_t generation);
 
   std::string dir_;
-  std::map<std::string, ManifestEntry> entries_;
+  std::map<std::string, EntryInfo> entries_;
   CommitObserver observer_;
   /// Heap-held so the store stays movable (Result<TemplateStore> needs it).
   std::unique_ptr<std::mutex> mu_ = std::make_unique<std::mutex>();

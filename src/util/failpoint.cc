@@ -21,9 +21,7 @@ constexpr const char* kBuiltinFailpoints[] = {
     // TemplateStore::Load.
     "store.load.read",
     "store.load.deserialize",
-    // ExtractionService relearn and batch-pass boundaries.
-    "serve.relearn.begin",
-    "serve.relearn.commit",
+    // ExtractionService batch-pass boundaries.
     "serve.batch.resolve",
     "serve.batch.extract",
     "serve.batch.account",

@@ -1,6 +1,8 @@
 #include "src/serve/extraction_service.h"
 
+#include <atomic>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -133,7 +135,8 @@ TEST(ExtractionServiceTest, ServesFromStoreAndAccountsHits) {
   EXPECT_EQ(stats.hits + stats.misses, stats.requests);
 }
 
-TEST(ExtractionServiceTest, UnknownSiteWithoutSamplerIsAMissNotAFailure) {
+TEST(ExtractionServiceTest,
+     UnknownSiteWithoutRelearnManagerIsAMissNotAFailure) {
   auto store = TemplateStore::Open(FreshDir("unknown"));
   ASSERT_TRUE(store.ok());
   MetricsRegistry metrics;
@@ -156,35 +159,42 @@ TEST(ExtractionServiceTest, InvalidSiteNameIsRejectedWithoutState) {
   EXPECT_EQ(service.StatsFor("../evil").requests, 0);
 }
 
+// Relearns run on a RelearnManager: a miss only enqueues, and the ticketed
+// rendezvous adopts the promoted generation at the start of the next batch.
 TEST(ExtractionServiceTest, ColdMissTriggersRelearnAndNextRequestHits) {
   SiteWorld world = SiteWorld::Make();
   auto store = TemplateStore::Open(FreshDir("cold"));
   ASSERT_TRUE(store.ok());
 
   MetricsRegistry metrics;
+  RelearnManagerOptions manager_options;
+  manager_options.metrics = &metrics;
+  std::atomic<int> samples_taken{0};
+  RelearnManager manager(&*store, manager_options,
+                         [&](const std::string& site, uint64_t) {
+                           EXPECT_EQ(site, "site0");
+                           ++samples_taken;
+                           return world.Sample(0);
+                         });
   ServiceOptions options;
   options.metrics = &metrics;
-  int samples_taken = 0;
-  ExtractionService service(&*store, options,
-                            [&](const std::string& site) {
-                              EXPECT_EQ(site, "site0");
-                              ++samples_taken;
-                              return world.Sample(0);
-                            });
+  options.relearn_manager = &manager;
+  ExtractionService service(&*store, options);
 
   auto requests = world.FreshRequests(0, "site0");
   ASSERT_GE(requests.size(), 2u);
-  // First request: the store is empty, so the miss relearns on the spot.
+  // First request: the store is empty, so the miss enqueues the
+  // learn-once relearn and stands.
   auto first = service.Extract(requests[0]);
-  EXPECT_EQ(first.source, ExtractionService::Source::kRelearn);
-  EXPECT_FALSE(first.pagelet_path.empty());
-  EXPECT_EQ(store->Generation("site0"), 1);
-  EXPECT_EQ(samples_taken, 1);
-  // Second request: served straight from the learned template.
+  EXPECT_EQ(first.source, ExtractionService::Source::kMiss);
+  EXPECT_EQ(first.generation, 0);
+  // Second request: its batch adopts generation 1 before resolving.
   auto second = service.Extract(requests[1]);
   EXPECT_EQ(second.source, ExtractionService::Source::kTemplate);
   EXPECT_EQ(second.generation, 1);
-  EXPECT_EQ(samples_taken, 1);
+  EXPECT_EQ(store->Generation("site0"), 1);
+  manager.Stop();
+  EXPECT_EQ(samples_taken.load(), 1);
 
   auto snapshot = metrics.Snapshot();
   EXPECT_EQ(snapshot.counters["serve.relearns"], 1);
@@ -196,24 +206,40 @@ TEST(ExtractionServiceTest, UnlearnableSiteDegradesToMissesWithoutThrash) {
   auto store = TemplateStore::Open(FreshDir("unlearnable"));
   ASSERT_TRUE(store.ok());
   MetricsRegistry metrics;
+  RelearnManagerOptions manager_options;
+  manager_options.metrics = &metrics;
+  std::atomic<int> samples_taken{0};
+  RelearnManager manager(&*store, manager_options,
+                         [&](const std::string&, uint64_t) {
+                           ++samples_taken;
+                           return std::vector<core::Page>{};  // always fails
+                         });
   ServiceOptions options;
   options.metrics = &metrics;
+  options.relearn_manager = &manager;
   options.relearn_min_requests = 4;
-  int samples_taken = 0;
-  ExtractionService service(&*store, options, [&](const std::string&) {
-    ++samples_taken;
-    return std::vector<core::Page>{};  // sampling always fails
-  });
+  ExtractionService service(&*store, options);
   for (int i = 0; i < 10; ++i) {
     auto response =
         service.Extract({"deadsite", "<html><body>x</body></html>"});
     EXPECT_EQ(response.source, ExtractionService::Source::kMiss);
   }
-  // One cold attempt, then one per refilled window — not one per request.
-  EXPECT_LE(samples_taken, 4);
+  manager.Stop();
+  // One cold attempt, then one per refilled (drift: half-) window — not
+  // one per request.
+  EXPECT_LE(samples_taken.load(), 4);
   EXPECT_EQ(metrics.Snapshot().counters["serve.template_miss"], 10);
   EXPECT_EQ(metrics.Snapshot().counters.count("serve.relearns"), 0u);
 }
+
+// Holds a relearn job in its sampler until the test releases it, so a job
+// enqueued mid-batch stays in flight for the rest of that batch: every
+// later trigger in the batch deterministically dedupes against it, however
+// fast the relearn itself would have been.
+struct SamplerGate {
+  std::promise<void> go;
+  std::shared_future<void> released = go.get_future().share();
+};
 
 TEST(ExtractionServiceTest, StaleTemplatesRelearnMidBatchAndRecover) {
   // Store templates learned from a *different* site under "site0": the
@@ -225,17 +251,24 @@ TEST(ExtractionServiceTest, StaleTemplatesRelearnMidBatchAndRecover) {
   ASSERT_TRUE(store->Put("site0", world.registry).ok());
 
   MetricsRegistry metrics;
+  RelearnManagerOptions manager_options;
+  manager_options.metrics = &metrics;
+  SamplerGate gate;
+  RelearnManager manager(&*store, manager_options,
+                         [&world, released = gate.released](
+                             const std::string&, uint64_t) {
+                           released.wait();
+                           return world.Sample(1);
+                         });
   ServiceOptions options;
   options.metrics = &metrics;
+  options.relearn_manager = &manager;
   options.relearn_min_requests = 4;
   options.relearn_miss_rate = 0.5;
-  ExtractionService service(&*store, options,
-                            [&](const std::string&) {
-                              return world.Sample(1);
-                            });
+  ExtractionService service(&*store, options);
 
   // Serve site 1 answer pages against site 0 templates, twice over so the
-  // window fills regardless of batch boundaries.
+  // window fills mid-batch.
   auto requests = world.FreshRequests(1, "site0");
   ASSERT_GE(requests.size(), 3u);
   std::vector<ExtractionService::Request> stream;
@@ -243,23 +276,26 @@ TEST(ExtractionServiceTest, StaleTemplatesRelearnMidBatchAndRecover) {
     stream.insert(stream.end(), requests.begin(), requests.end());
   }
   auto responses = service.ExtractBatch(stream);
+  gate.go.set_value();
+  // The relearn was only enqueued: this whole batch served generation 1.
+  for (const auto& response : responses) {
+    EXPECT_EQ(response.generation, 1);
+  }
 
+  // The next batch adopts the fresh generation before resolving.
+  auto next = service.ExtractBatch(requests);
   EXPECT_EQ(store->Generation("site0"), 2);
   EXPECT_EQ(metrics.Snapshot().counters["serve.relearns"], 1);
-  // After the in-batch relearn, the tail of the stream is served from the
-  // fresh generation.
-  const auto& last = responses.back();
+  const auto& last = next.back();
   EXPECT_EQ(last.source, ExtractionService::Source::kTemplate);
   EXPECT_EQ(last.generation, 2);
   EXPECT_FALSE(last.pagelet_path.empty());
+  manager.Stop();
 }
 
 TEST(ExtractionServiceTest, BatchStreamIsByteIdenticalAtEveryThreadCount) {
   SiteWorld world = SiteWorld::Make(/*num_sites=*/2);
-  std::vector<ExtractionService::Request> stream;
-  for (int round = 0; round < 3; ++round) {
-    for (auto& r : world.FreshRequests(1, "site0")) stream.push_back(r);
-  }
+  auto requests = world.FreshRequests(1, "site0");
   std::string serialized[2];
   int thread_counts[2] = {1, 4};
   for (int v = 0; v < 2; ++v) {
@@ -268,19 +304,31 @@ TEST(ExtractionServiceTest, BatchStreamIsByteIdenticalAtEveryThreadCount) {
         TemplateStore::Open(FreshDir("det" + std::to_string(v)));
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE(store->Put("site0", world.registry).ok());
+    SamplerGate gate;
+    RelearnManager manager(&*store, {},
+                           [&world, released = gate.released](
+                               const std::string&, uint64_t) {
+                             released.wait();
+                             return world.Sample(1);
+                           });
     ServiceOptions options;
     options.relearn_min_requests = 4;
     options.relearn_miss_rate = 0.5;
     options.threads = thread_counts[v];
-    ExtractionService service(&*store, options,
-                              [&](const std::string&) {
-                                return world.Sample(1);
-                              });
-    serialized[v] = Serialized(service.ExtractBatch(stream));
+    options.relearn_manager = &manager;
+    ExtractionService service(&*store, options);
+    serialized[v] = Serialized(service.ExtractBatch(requests));
+    gate.go.set_value();
+    for (int batch = 0; batch < 2; ++batch) {
+      serialized[v] += Serialized(service.ExtractBatch(requests));
+    }
+    manager.Stop();
   }
-  // The stale-store stream exercises miss, relearn, and the post-relearn
-  // re-serve — all of it must be identical at 1 and 4 threads.
+  // The stale-store stream exercises miss, the mid-batch relearn enqueue,
+  // and the adoption at the next batch — all of it must be identical at 1
+  // and 4 threads.
   EXPECT_EQ(serialized[0], serialized[1]);
+  EXPECT_NE(serialized[0].find("\"generation\":2"), std::string::npos);
 }
 
 TEST(ExtractionServiceTest, EvictedSitesReloadFromStoreTransparently) {
@@ -380,9 +428,9 @@ TEST(ExtractionServiceTest, DeadlineFiringBetweenPassesDropsTheBatch) {
 TEST(ExtractionServiceTest,
      DeadlineBeforeAccountingSkipsRelearnLeavingCountersUntouched) {
   // Stale store: site 1 pages served against site 0 templates would
-  // normally relearn mid-batch. With the deadline expiring between
-  // extraction and accounting, the misses must stand and no relearn may
-  // start — a slow batch must not sink into a full pipeline run.
+  // normally enqueue a relearn mid-batch. With the deadline expiring
+  // between extraction and accounting, the misses must stand and no
+  // relearn may be scheduled.
   SiteWorld world = SiteWorld::Make(/*num_sites=*/2);
   auto store = TemplateStore::Open(FreshDir("dl_account"));
   ASSERT_TRUE(store.ok());
@@ -390,17 +438,22 @@ TEST(ExtractionServiceTest,
 
   MetricsRegistry metrics;
   SimulatedClock clock;
+  RelearnManagerOptions manager_options;
+  manager_options.metrics = &metrics;
+  std::atomic<int> samples_taken{0};
+  RelearnManager manager(&*store, manager_options,
+                         [&](const std::string&, uint64_t) {
+                           ++samples_taken;
+                           return world.Sample(1);
+                         });
   ServiceOptions options;
   options.metrics = &metrics;
   options.clock = &clock;
   options.threads = 1;
   options.relearn_min_requests = 2;
   options.relearn_miss_rate = 0.5;
-  int samples_taken = 0;
-  ExtractionService service(&*store, options, [&](const std::string&) {
-    ++samples_taken;
-    return world.Sample(1);
-  });
+  options.relearn_manager = &manager;
+  ExtractionService service(&*store, options);
 
   auto* failpoints = FailpointRegistry::Global();
   failpoints->SetClock(&clock);
@@ -411,10 +464,11 @@ TEST(ExtractionServiceTest,
       service.ExtractBatch(requests, Deadline::After(&clock, 100.0));
   failpoints->Disarm("serve.batch.account");
   failpoints->SetClock(nullptr);
+  manager.Stop();
 
   // Extraction itself finished (the deadline fired after pass 2), so the
   // responses are ordinary misses — but the relearn was withheld.
-  EXPECT_EQ(samples_taken, 0);
+  EXPECT_EQ(samples_taken.load(), 0);
   EXPECT_EQ(store->Generation("site0"), 1);
   auto stats = service.StatsFor("site0");
   EXPECT_EQ(stats.relearns, 0);
@@ -423,52 +477,8 @@ TEST(ExtractionServiceTest,
   auto snapshot = metrics.Snapshot();
   EXPECT_GE(snapshot.counters["serve.deadline_exceeded"], 1);
   EXPECT_EQ(snapshot.counters.count("serve.relearns"), 0u);
+  EXPECT_EQ(snapshot.counters.count("serve.relearn_attempts"), 0u);
   for (const auto& response : responses) {
-    EXPECT_NE(response.source, ExtractionService::Source::kRelearn);
-  }
-}
-
-TEST(ExtractionServiceTest, RelearnDeadlineAbortsWithoutCommitting) {
-  // The sampler itself is the slow stage: it burns the whole relearn
-  // budget on the simulated clock before returning pages, so RunThor's
-  // entry check fails — typed error, nothing committed, no generation.
-  SiteWorld world = SiteWorld::Make(/*num_sites=*/2);
-  auto store = TemplateStore::Open(FreshDir("dl_relearn"));
-  ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Put("site0", world.registry).ok());
-
-  MetricsRegistry metrics;
-  SimulatedClock clock;
-  ServiceOptions options;
-  options.metrics = &metrics;
-  options.clock = &clock;
-  options.threads = 1;
-  options.relearn_min_requests = 2;
-  options.relearn_miss_rate = 0.5;
-  options.relearn_deadline_ms = 50.0;
-  ExtractionService service(&*store, options, [&](const std::string&) {
-    clock.SleepMs(500.0);  // probing overruns the relearn budget
-    return world.Sample(1);
-  });
-
-  auto requests = world.FreshRequests(1, "site0");
-  ASSERT_GE(requests.size(), 3u);
-  auto responses = service.ExtractBatch(requests);
-
-  // Relearns were attempted (the window trips, refills, and trips again
-  // since nothing commits) but none may have taken: same generation, no
-  // serve.relearns, misses stay misses.
-  auto stats = service.StatsFor("site0");
-  EXPECT_GE(stats.relearn_attempts, 1);
-  EXPECT_EQ(stats.relearns, 0);
-  EXPECT_EQ(store->Generation("site0"), 1);
-  auto snapshot = metrics.Snapshot();
-  EXPECT_GE(snapshot.counters["serve.deadline_exceeded"], 1);
-  EXPECT_EQ(snapshot.counters.count("serve.relearns"), 0u);
-  EXPECT_EQ(snapshot.counters["serve.relearn_attempts"],
-            stats.relearn_attempts);
-  for (const auto& response : responses) {
-    EXPECT_NE(response.source, ExtractionService::Source::kRelearn);
     EXPECT_EQ(response.generation, 1);
   }
 }

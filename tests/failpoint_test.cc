@@ -36,10 +36,10 @@ TEST_F(FailpointTest, CatalogEnumeratesEveryBuiltinFailpoint) {
        {"store.put.serialize", "store.put.template_rename",
         "store.put.template_committed", "store.put.manifest_rename",
         "store.put.manifest_committed", "store.put.gc", "store.load.read",
-        "store.load.deserialize", "serve.relearn.begin",
-        "serve.relearn.commit", "serve.batch.resolve",
+        "store.load.deserialize", "serve.batch.resolve",
         "serve.batch.extract", "serve.batch.account", "thord.batch.drain",
-        "thord.batch.flush"}) {
+        "thord.batch.flush", "relearn_mgr.enqueue", "relearn_mgr.commit",
+        "canary.poison", "canary.promote", "canary.rollback"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), required), names.end())
         << required;
   }

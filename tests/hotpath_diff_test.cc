@@ -4,8 +4,9 @@
 // PartitionObjects) on every page a deepweb fleet can produce — fresh
 // answer pages, no-match pages, and three template-drift epochs.
 //
-// This is the contract that lets the serving layer switch pipelines by a
-// flag: any observable divergence is a bug in the hot path, full stop.
+// This is the contract that lets the serving layer run the hot path alone,
+// with the legacy pipeline kept as the reference it is checked against:
+// any observable divergence is a bug in the hot path, full stop.
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -260,12 +261,15 @@ TEST(HotPathDiffTest, ExtractionOutputIdenticalToLegacyPipeline) {
   }
 }
 
-// Service-level closure: a hot-path service and a legacy service backed by
-// the same store must emit byte-identical response streams, at 1 and 4
-// worker threads, across drift epochs. This is the flag-flip guarantee the
-// serving layer relies on.
+// Service-level closure: the store-backed service, at 1 and 4 worker
+// threads, must emit exactly the responses the legacy pipeline
+// (Page::Parse + LocateDetailed + PartitionObjects + ObjectTexts) builds
+// over the in-memory registry, across drift epochs. The registry reaches
+// the service only through the store, so this also pins that a learned
+// registry survives persistence and locates identically.
 TEST(HotPathDiffTest, ServiceResponsesIdenticalAcrossPipelinesAndThreads) {
   namespace fs = std::filesystem;
+  using Response = serve::ExtractionService::Response;
   DiffWorld world = DiffWorld::Make();
   fs::path dir = fs::path(::testing::TempDir()) / "thor_hotpath_diff";
   fs::remove_all(dir);
@@ -273,8 +277,7 @@ TEST(HotPathDiffTest, ServiceResponsesIdenticalAcrossPipelinesAndThreads) {
   ASSERT_TRUE(store.ok()) << store.status();
   ASSERT_TRUE(store->Put("site0", world.registry).ok());
 
-  auto serialize = [](const std::vector<serve::ExtractionService::Response>&
-                          responses) {
+  auto serialize = [](const std::vector<Response>& responses) {
     JsonWriter json;
     json.BeginArray();
     for (const auto& r : responses) {
@@ -296,24 +299,36 @@ TEST(HotPathDiffTest, ServiceResponsesIdenticalAcrossPipelinesAndThreads) {
   for (int epoch : {0, 1, 2}) {
     deepweb::SetFleetEpoch(&world.fleet, epoch);
     std::vector<serve::ExtractionService::Request> requests;
+    std::vector<Response> expected;
     for (const std::string& html : world.FreshHtml()) {
       requests.push_back({"site0", html});
+      // Legacy reference over the in-memory registry. Every response,
+      // misses included, names generation 1: the store's only commit.
+      Response want;
+      want.generation = 1;
+      core::Page page = core::Page::Parse("site0", html);
+      auto located = world.registry.LocateDetailed(page.tree);
+      if (located.node != html::kInvalidNode) {
+        want.source = serve::ExtractionService::Source::kTemplate;
+        want.confidence = located.Confidence();
+        want.pagelet_path = page.tree.PathString(located.node);
+        want.objects = core::ObjectTexts(
+            page.tree, core::PartitionObjects(page.tree, located.node, {}, {}));
+      }
+      expected.push_back(std::move(want));
     }
-    std::string reference;
-    for (bool hot : {true, false}) {
-      for (int threads : {1, 4}) {
-        serve::ServiceOptions options;
-        options.hot_path = hot;
-        options.threads = threads;
-        serve::ExtractionService service(&*store, options);
-        std::string got = serialize(service.ExtractBatch(requests));
-        if (reference.empty()) {
-          reference = got;
-        } else {
-          EXPECT_EQ(got, reference)
-              << "epoch " << epoch << " hot=" << hot
-              << " threads=" << threads;
-        }
+    const std::string reference = serialize(expected);
+    for (int threads : {1, 4}) {
+      serve::ServiceOptions options;
+      options.threads = threads;
+      serve::ExtractionService service(&*store, options);
+      std::vector<Response> got = service.ExtractBatch(requests);
+      EXPECT_EQ(serialize(got), reference)
+          << "epoch " << epoch << " threads=" << threads;
+      ASSERT_EQ(got.size(), expected.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_TRUE(BitEqual(got[i].confidence, expected[i].confidence))
+            << "epoch " << epoch << " threads=" << threads << " page " << i;
       }
     }
   }

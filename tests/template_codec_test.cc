@@ -50,7 +50,7 @@ bool BitEqual(double a, double b) {
 TEST(TemplateCodecTest, RoundTripsEveryFieldBitExactly) {
   core::TemplateRegistry original = MakeRegistry();
   std::string blob = EncodeTemplates(original);
-  ASSERT_TRUE(LooksLikeBinaryTemplates(blob));
+  ASSERT_EQ(blob.compare(0, 8, "THORTPL1"), 0);
   auto decoded = DecodeTemplates(blob);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   const auto& got = decoded->templates();
@@ -63,7 +63,7 @@ TEST(TemplateCodecTest, RoundTripsEveryFieldBitExactly) {
     EXPECT_EQ(got[i].prototype.depth, want[i].prototype.depth);
     EXPECT_EQ(got[i].prototype.num_nodes, want[i].prototype.num_nodes);
     EXPECT_EQ(got[i].support, want[i].support);
-    // Doubles survive bit-exactly — the improvement over the JSON form.
+    // Doubles survive bit-exactly.
     EXPECT_TRUE(BitEqual(got[i].max_distance, want[i].max_distance));
     EXPECT_TRUE(BitEqual(got[i].min_stable_match, want[i].min_stable_match));
     ASSERT_EQ(got[i].stable_tags.entries().size(),
@@ -95,10 +95,14 @@ TEST(TemplateCodecTest, RoundTripsAnEmptyRegistry) {
 
 TEST(TemplateCodecTest, RejectsForeignBytes) {
   EXPECT_EQ(DecodeTemplates("").status().code(), StatusCode::kParseError);
-  EXPECT_EQ(DecodeTemplates("{\"format\":\"thor-templates\"}").status().code(),
+  EXPECT_EQ(DecodeTemplates("THORTP").status().code(),  // shorter than magic
             StatusCode::kParseError);
-  EXPECT_FALSE(LooksLikeBinaryTemplates("{\"json\":true}"));
-  EXPECT_FALSE(LooksLikeBinaryTemplates("THORTP"));  // shorter than magic
+  // A JSON templates document is long enough to reach the magic check,
+  // and fails it.
+  auto json = DecodeTemplates(
+      R"({"format":"thor-templates","version":1,"templates":[]})");
+  EXPECT_EQ(json.status().code(), StatusCode::kParseError);
+  EXPECT_NE(json.status().message().find("bad magic"), std::string::npos);
 }
 
 TEST(TemplateCodecTest, RejectsUnsupportedVersion) {

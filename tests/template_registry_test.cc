@@ -1,6 +1,5 @@
 #include "src/core/template_registry.h"
 
-#include <algorithm>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -108,79 +107,6 @@ TEST(TemplateRegistryTest, EmptyRegistryLocatesNothing) {
       html::ParseHtml("<table><tr><td>content</td></tr></table>");
   EXPECT_EQ(registry.Locate(tree), html::kInvalidNode);
   EXPECT_TRUE(registry.empty());
-}
-
-TEST(TemplateRegistryTest, JsonRoundTripPreservesBehavior) {
-  Fixture fixture = Fixture::Make();
-  std::string json = fixture.registry.ToJson();
-  auto restored = TemplateRegistry::FromJson(json);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  ASSERT_EQ(restored->templates().size(),
-            fixture.registry.templates().size());
-  for (size_t i = 0; i < restored->templates().size(); ++i) {
-    const auto& a = fixture.registry.templates()[i];
-    const auto& b = restored->templates()[i];
-    EXPECT_EQ(a.path_symbols, b.path_symbols);
-    EXPECT_EQ(a.prototype.fanout, b.prototype.fanout);
-    EXPECT_EQ(a.support, b.support);
-    EXPECT_DOUBLE_EQ(a.max_distance, b.max_distance);
-    EXPECT_EQ(a.stable_tags.entries(), b.stable_tags.entries());
-    EXPECT_EQ(a.known_tags.size(), b.known_tags.size());
-  }
-  // Behavioral equivalence on fresh pages.
-  for (const char* query : {"window", "garden", "silver", "xqzzva"}) {
-    deepweb::LabeledPage page =
-        deepweb::LabelPage(fixture.site.Query(query));
-    EXPECT_EQ(fixture.registry.Locate(page.tree),
-              restored->Locate(page.tree))
-        << query;
-  }
-}
-
-TEST(TemplateRegistryTest, FromJsonRejectsGarbage) {
-  EXPECT_FALSE(TemplateRegistry::FromJson("not json").ok());
-  EXPECT_FALSE(TemplateRegistry::FromJson("{}").ok());
-  EXPECT_FALSE(
-      TemplateRegistry::FromJson(R"({"format":"other","templates":[]})")
-          .ok());
-  EXPECT_FALSE(TemplateRegistry::FromJson(
-                   R"({"format":"thor-templates","templates":[{}]})")
-                   .ok());
-  auto empty = TemplateRegistry::FromJson(
-      R"({"format":"thor-templates","version":1,"templates":[]})");
-  ASSERT_TRUE(empty.ok());
-  EXPECT_TRUE(empty->empty());
-}
-
-TEST(TemplateRegistryTest, FromJsonRejectsEveryTruncatedPrefix) {
-  // The template store's corruption-recovery contract: a registry document
-  // cut off at ANY byte (a torn write, a truncated download) must come
-  // back as an error Result — no crash, no partially-built registry. A
-  // hand-written document keeps this exhaustive sweep fast while covering
-  // every structural position (mid-key, mid-string, mid-number, mid-array).
-  const std::string document =
-      R"({"format":"thor-templates","version":1,"templates":[)"
-      R"({"path_symbols":"html>body>table",)"
-      R"("prototype":{"path_symbols":"html>body>table","fanout":4,)"
-      R"("depth":3,"num_nodes":20},"support":5,"max_distance":0.35,)"
-      R"("min_stable_match":0.93,"stable_tags":[["html",1],["body",1]],)"
-      R"("known_tags":["html","body","table","tr","td"]}]})";
-  auto complete = TemplateRegistry::FromJson(document);
-  ASSERT_TRUE(complete.ok()) << complete.status();
-  ASSERT_EQ(complete->templates().size(), 1u);
-  for (size_t len = 0; len < document.size(); ++len) {
-    auto truncated = TemplateRegistry::FromJson(document.substr(0, len));
-    EXPECT_FALSE(truncated.ok()) << "prefix of length " << len
-                                 << " produced a registry";
-  }
-  // The same holds for a registry produced by a real pipeline run.
-  Fixture fixture = Fixture::Make();
-  const std::string learned = fixture.registry.ToJson();
-  for (size_t len = 0; len < learned.size();
-       len += std::max<size_t>(1, learned.size() / 257)) {
-    EXPECT_FALSE(TemplateRegistry::FromJson(learned.substr(0, len)).ok())
-        << "prefix of length " << len << "/" << learned.size();
-  }
 }
 
 TEST(TemplateRegistryTest, TemplatesTransferAcrossFreshProbeRounds) {

@@ -1,7 +1,6 @@
 #include "src/serve/template_store.h"
 
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -10,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/html/tag_table.h"
+#include "src/serve/template_codec.h"
 #include "src/util/failpoint.h"
 
 namespace thor::serve {
@@ -17,31 +18,34 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Two small, distinct, hand-written registries: store tests never need the
-// full pipeline, just documents that round-trip through FromJson/ToJson.
-constexpr const char* kRegistryV1 = R"({"format":"thor-templates",
-"version":1,"templates":[{"path_symbols":"html>body>table",
-"prototype":{"path_symbols":"html>body>table","fanout":4,"depth":3,
-"num_nodes":20},"support":5,"max_distance":0.3,"min_stable_match":0.9,
-"stable_tags":[["html",1],["body",1]],
-"known_tags":["html","body","table"]}]})";
-
-constexpr const char* kRegistryV2 = R"({"format":"thor-templates",
-"version":1,"templates":[{"path_symbols":"html>body>div>ul",
-"prototype":{"path_symbols":"html>body>div>ul","fanout":9,"depth":4,
-"num_nodes":44},"support":12,"max_distance":0.4,"min_stable_match":0.93,
-"stable_tags":[["html",1],["ul",1]],
-"known_tags":["html","body","div","ul","li"]}]})";
-
-core::TemplateRegistry ParseRegistry(const char* json) {
-  auto registry = core::TemplateRegistry::FromJson(json);
-  EXPECT_TRUE(registry.ok()) << registry.status();
-  return std::move(*registry);
+// Two small, distinct, hand-built registries: store tests never need the
+// full pipeline, just registries whose THORTPL1 bytes tell them apart.
+core::TemplateRegistry MakeRegistry(const std::string& path, int fanout,
+                                    int support, double max_distance,
+                                    const std::vector<std::string>& tags) {
+  core::ExtractionTemplate tmpl;
+  tmpl.path_symbols = path;
+  tmpl.prototype.path_symbols = path;
+  tmpl.prototype.fanout = fanout;
+  tmpl.prototype.depth = static_cast<int>(path.size());
+  tmpl.prototype.num_nodes = 5 * fanout;
+  tmpl.support = support;
+  tmpl.max_distance = max_distance;
+  std::vector<ir::VectorEntry> known;
+  for (const std::string& tag : tags) {
+    known.push_back({html::InternTag(tag), 1.0});
+  }
+  tmpl.stable_tags = ir::SparseVector::FromPairs({known.front(), known.back()});
+  tmpl.known_tags = ir::SparseVector::FromPairs(std::move(known));
+  return core::TemplateRegistry::FromTemplates({tmpl});
 }
 
-// Canonical serialized form, for comparing loaded registries.
-std::string Canonical(const char* json) {
-  return ParseRegistry(json).ToJson();
+core::TemplateRegistry RegistryV1() {
+  return MakeRegistry("abm", 4, 5, 0.3, {"html", "body", "table"});
+}
+
+core::TemplateRegistry RegistryV2() {
+  return MakeRegistry("abcu", 9, 12, 0.4, {"html", "body", "div", "ul", "li"});
 }
 
 std::string FreshDir(const std::string& name) {
@@ -65,12 +69,12 @@ TEST(TemplateStoreTest, PutLoadRoundTripsAcrossReopen) {
   {
     auto store = TemplateStore::Open(dir);
     ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(store->Put("site0", ParseRegistry(kRegistryV1)).ok());
+    ASSERT_TRUE(store->Put("site0", RegistryV1()).ok());
     EXPECT_EQ(store->Generation("site0"), 1);
     auto loaded = store->Load("site0");
     ASSERT_TRUE(loaded.ok()) << loaded.status();
     EXPECT_EQ(loaded->generation, 1);
-    EXPECT_EQ(loaded->registry.ToJson(), Canonical(kRegistryV1));
+    EXPECT_EQ(EncodeTemplates(loaded->registry), EncodeTemplates(RegistryV1()));
   }
   // A second process opening the same directory sees the committed state.
   auto reopened = TemplateStore::Open(dir);
@@ -78,20 +82,20 @@ TEST(TemplateStoreTest, PutLoadRoundTripsAcrossReopen) {
   EXPECT_EQ(reopened->Sites(), std::vector<std::string>{"site0"});
   auto loaded = reopened->Load("site0");
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->registry.ToJson(), Canonical(kRegistryV1));
+  EXPECT_EQ(EncodeTemplates(loaded->registry), EncodeTemplates(RegistryV1()));
 }
 
 TEST(TemplateStoreTest, GenerationsAdvanceAndOldFilesAreCollected) {
   std::string dir = FreshDir("generations");
   auto store = TemplateStore::Open(dir);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Put("site0", ParseRegistry(kRegistryV1)).ok());
-  ASSERT_TRUE(store->Put("site0", ParseRegistry(kRegistryV2)).ok());
+  ASSERT_TRUE(store->Put("site0", RegistryV1()).ok());
+  ASSERT_TRUE(store->Put("site0", RegistryV2()).ok());
   EXPECT_EQ(store->Generation("site0"), 2);
   auto loaded = store->Load("site0");
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->generation, 2);
-  EXPECT_EQ(loaded->registry.ToJson(), Canonical(kRegistryV2));
+  EXPECT_EQ(EncodeTemplates(loaded->registry), EncodeTemplates(RegistryV2()));
   // Only the live generation and the manifest remain on disk.
   int files = 0;
   for (const auto& entry : fs::directory_iterator(dir)) {
@@ -105,27 +109,29 @@ TEST(TemplateStoreTest, GenerationsAdvanceAndOldFilesAreCollected) {
 TEST(TemplateStoreTest, StoresManySitesIndependently) {
   auto store = TemplateStore::Open(FreshDir("multi"));
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Put("alpha", ParseRegistry(kRegistryV1)).ok());
-  ASSERT_TRUE(store->Put("beta", ParseRegistry(kRegistryV2)).ok());
+  ASSERT_TRUE(store->Put("alpha", RegistryV1()).ok());
+  ASSERT_TRUE(store->Put("beta", RegistryV2()).ok());
   EXPECT_EQ(store->Sites(), (std::vector<std::string>{"alpha", "beta"}));
-  EXPECT_EQ(store->Load("alpha")->registry.ToJson(), Canonical(kRegistryV1));
-  EXPECT_EQ(store->Load("beta")->registry.ToJson(), Canonical(kRegistryV2));
+  EXPECT_EQ(EncodeTemplates(store->Load("alpha")->registry),
+            EncodeTemplates(RegistryV1()));
+  EXPECT_EQ(EncodeTemplates(store->Load("beta")->registry),
+            EncodeTemplates(RegistryV2()));
 }
 
 // Regression: site names may contain dots, so Put("example")'s GC used to
-// prefix-match (and delete) "example.gov.g1.json" — another site's
+// prefix-match (and delete) "example.gov.g1.tpl" — another site's
 // committed generation — leaving the manifest pointing at a missing file.
 TEST(TemplateStoreTest, PutGcSparesOtherSitesSharingADottedPrefix) {
   std::string dir = FreshDir("dotted");
   auto store = TemplateStore::Open(dir);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Put("example.gov", ParseRegistry(kRegistryV2)).ok());
-  ASSERT_TRUE(store->Put("example", ParseRegistry(kRegistryV1)).ok());
-  ASSERT_TRUE(store->Put("example", ParseRegistry(kRegistryV2)).ok());
+  ASSERT_TRUE(store->Put("example.gov", RegistryV2()).ok());
+  ASSERT_TRUE(store->Put("example", RegistryV1()).ok());
+  ASSERT_TRUE(store->Put("example", RegistryV2()).ok());
   auto victim = store->Load("example.gov");
   ASSERT_TRUE(victim.ok()) << victim.status();
   EXPECT_EQ(victim->generation, 1);
-  EXPECT_EQ(victim->registry.ToJson(), Canonical(kRegistryV2));
+  EXPECT_EQ(EncodeTemplates(victim->registry), EncodeTemplates(RegistryV2()));
   // A cold reopen (fresh manifest parse) still serves both sites.
   auto reopened = TemplateStore::Open(dir);
   ASSERT_TRUE(reopened.ok());
@@ -138,7 +144,7 @@ TEST(TemplateStoreTest, RejectsHostileSiteNames) {
   ASSERT_TRUE(store.ok());
   for (const char* name :
        {"", "../evil", "a/b", "/abs", ".hidden", "sp ace", "tab\tname"}) {
-    Status st = store->Put(name, ParseRegistry(kRegistryV1));
+    Status st = store->Put(name, RegistryV1());
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << "\"" << name
                                                        << "\"";
   }
@@ -150,13 +156,13 @@ TEST(TemplateStoreTest, DetectsTamperedTemplateFile) {
   std::string dir = FreshDir("tamper");
   auto store = TemplateStore::Open(dir);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Put("site0", ParseRegistry(kRegistryV1)).ok());
-  // Swap the payload behind the manifest's back (a well-formed document is
-  // fine — the manifest checksum catches it before any deserializer runs).
+  ASSERT_TRUE(store->Put("site0", RegistryV1()).ok());
+  // Swap the payload behind the manifest's back (a well-formed blob is
+  // fine — the manifest checksum catches it before the decoder runs).
   {
     std::ofstream out(fs::path(dir) / "site0.g1.tpl",
                       std::ios::binary | std::ios::trunc);
-    out << R"({"format":"thor-templates","version":1,"templates":[]})";
+    out << EncodeTemplates(RegistryV2());
   }
   auto reopened = TemplateStore::Open(dir);
   ASSERT_TRUE(reopened.ok());
@@ -170,7 +176,7 @@ TEST(TemplateStoreTest, DetectsTruncatedTemplateFile) {
   std::string dir = FreshDir("truncate");
   auto store = TemplateStore::Open(dir);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Put("site0", ParseRegistry(kRegistryV1)).ok());
+  ASSERT_TRUE(store->Put("site0", RegistryV1()).ok());
   fs::path file = fs::path(dir) / "site0.g1.tpl";
   fs::resize_file(file, fs::file_size(file) / 2);
   auto loaded = TemplateStore::Open(dir)->Load("site0");
@@ -182,7 +188,7 @@ TEST(TemplateStoreTest, MissingTemplateFileIsATypedErrorNotACrash) {
   std::string dir = FreshDir("missing");
   auto store = TemplateStore::Open(dir);
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Put("site0", ParseRegistry(kRegistryV1)).ok());
+  ASSERT_TRUE(store->Put("site0", RegistryV1()).ok());
   fs::remove(fs::path(dir) / "site0.g1.tpl");
   auto loaded = store->Load("site0");
   ASSERT_FALSE(loaded.ok());
@@ -194,11 +200,23 @@ TEST(TemplateStoreTest, CorruptManifestIsATypedErrorNotACrash) {
   {
     auto store = TemplateStore::Open(dir);
     ASSERT_TRUE(store.ok());
-    ASSERT_TRUE(store->Put("site0", ParseRegistry(kRegistryV1)).ok());
+    ASSERT_TRUE(store->Put("site0", RegistryV1()).ok());
   }
-  for (const char* garbage :
-       {"not json at all", "{\"format\":\"other\"}", "{\"format\":",
-        "{\"format\":\"thor-store\",\"sites\":[{\"site\":42}]}"}) {
+  // A well-formed entry except for its site/file pair, which must be
+  // exactly <site>.g<generation>.tpl: nothing else may steer a read.
+  auto entry = [](const std::string& site, int generation,
+                  const std::string& file) {
+    return R"({"format":"thor-store","version":1,"sites":[{"site":")" +
+           site + R"(","generation":)" + std::to_string(generation) +
+           R"(,"file":")" + file + R"(","checksum":"0"}]})";
+  };
+  for (const std::string& garbage :
+       {std::string("not json at all"), std::string("{\"format\":\"other\"}"),
+        std::string("{\"format\":"),
+        std::string("{\"format\":\"thor-store\",\"sites\":[{\"site\":42}]}"),
+        entry("site0", 1, "../../x"), entry("site0", 1, "site0.g1.json"),
+        entry("site0", 2, "site0.g1.tpl"),
+        entry("../evil", 1, "../evil.g1.tpl")}) {
     std::ofstream out(fs::path(dir) / "MANIFEST.json",
                       std::ios::binary | std::ios::trunc);
     out << garbage;
@@ -207,6 +225,12 @@ TEST(TemplateStoreTest, CorruptManifestIsATypedErrorNotACrash) {
     ASSERT_FALSE(reopened.ok()) << garbage;
     EXPECT_EQ(reopened.status().code(), StatusCode::kParseError) << garbage;
   }
+  // Control: the same entry naming its one legal file opens fine, so the
+  // rejections above are about the site/file pair, not the JSON.
+  std::ofstream(fs::path(dir) / "MANIFEST.json",
+                std::ios::binary | std::ios::trunc)
+      << entry("site0", 1, "site0.g1.tpl");
+  EXPECT_TRUE(TemplateStore::Open(dir).ok());
 }
 
 // The acceptance contract: a process killed at any failpoint inside Put
@@ -215,8 +239,8 @@ TEST(TemplateStoreTest, CorruptManifestIsATypedErrorNotACrash) {
 // (the in-process stand-in for a crash at that boundary: the remaining
 // steps never run), followed by an unarmed control Put.
 TEST(TemplateStoreTest, KillBetweenWritesLoadsOldOrNewNeverTorn) {
-  const std::string old_json = Canonical(kRegistryV1);
-  const std::string new_json = Canonical(kRegistryV2);
+  const std::string old_bytes = EncodeTemplates(RegistryV1());
+  const std::string new_bytes = EncodeTemplates(RegistryV2());
   struct Step {
     const char* failpoint;  ///< null: clean control Put
     bool committed;         ///< is the new generation durable at this point?
@@ -238,17 +262,17 @@ TEST(TemplateStoreTest, KillBetweenWritesLoadsOldOrNewNeverTorn) {
     {
       auto store = TemplateStore::Open(dir);
       ASSERT_TRUE(store.ok());
-      ASSERT_TRUE(store->Put("site0", ParseRegistry(kRegistryV1)).ok());
+      ASSERT_TRUE(store->Put("site0", RegistryV1()).ok());
       if (step.failpoint != nullptr) {
         int64_t hits_before = failpoints->HitCount(step.failpoint);
         ASSERT_TRUE(failpoints->Arm(step.failpoint, "error").ok());
-        Status st = store->Put("site0", ParseRegistry(kRegistryV2));
+        Status st = store->Put("site0", RegistryV2());
         failpoints->Disarm(step.failpoint);
         EXPECT_FALSE(st.ok());
         // The Put must actually have crossed this failpoint.
         EXPECT_GT(failpoints->HitCount(step.failpoint), hits_before);
       } else {
-        ASSERT_TRUE(store->Put("site0", ParseRegistry(kRegistryV2)).ok());
+        ASSERT_TRUE(store->Put("site0", RegistryV2()).ok());
       }
     }
     // "Reboot": a fresh process opens whatever survived on disk.
@@ -256,20 +280,20 @@ TEST(TemplateStoreTest, KillBetweenWritesLoadsOldOrNewNeverTorn) {
     ASSERT_TRUE(reopened.ok()) << reopened.status();
     auto loaded = reopened->Load("site0");
     ASSERT_TRUE(loaded.ok()) << loaded.status();
-    std::string got = loaded->registry.ToJson();
-    EXPECT_TRUE(got == old_json || got == new_json)
+    std::string got = EncodeTemplates(loaded->registry);
+    EXPECT_TRUE(got == old_bytes || got == new_bytes)
         << "loaded a torn registry";
     // Once the manifest rename completed, the new generation is
     // committed; before it, the old one must still be served.
     if (!step.committed) {
-      EXPECT_EQ(got, old_json);
+      EXPECT_EQ(got, old_bytes);
       EXPECT_EQ(loaded->generation, 1);
     } else {
-      EXPECT_EQ(got, new_json);
+      EXPECT_EQ(got, new_bytes);
       EXPECT_EQ(loaded->generation, 2);
     }
     // A later Put on the recovered store works and collects any orphans.
-    ASSERT_TRUE(reopened->Put("site0", ParseRegistry(kRegistryV2)).ok());
+    ASSERT_TRUE(reopened->Put("site0", RegistryV2()).ok());
     for (const auto& entry : fs::directory_iterator(dir)) {
       std::string name = entry.path().filename().string();
       EXPECT_TRUE(name == "MANIFEST.json" ||
@@ -286,9 +310,9 @@ TEST(TemplateStoreTest, KillBetweenWritesLoadsOldOrNewNeverTorn) {
 TEST(TemplateStoreTest, ConcurrentLoadsDuringPutServeOldOrNew) {
   auto store = TemplateStore::Open(FreshDir("stress"));
   ASSERT_TRUE(store.ok());
-  ASSERT_TRUE(store->Put("site0", ParseRegistry(kRegistryV1)).ok());
-  const std::string old_json = Canonical(kRegistryV1);
-  const std::string new_json = Canonical(kRegistryV2);
+  ASSERT_TRUE(store->Put("site0", RegistryV1()).ok());
+  const std::string old_bytes = EncodeTemplates(RegistryV1());
+  const std::string new_bytes = EncodeTemplates(RegistryV2());
   std::atomic<bool> stop{false};
   std::atomic<int> torn_loads{0};
   std::atomic<int> successful_loads{0};
@@ -302,15 +326,15 @@ TEST(TemplateStoreTest, ConcurrentLoadsDuringPutServeOldOrNew) {
         // that are neither the old nor the new generation.
         if (!loaded.ok()) continue;
         ++successful_loads;
-        std::string got = loaded->registry.ToJson();
-        if (got != old_json && got != new_json) ++torn_loads;
+        std::string got = EncodeTemplates(loaded->registry);
+        if (got != old_bytes && got != new_bytes) ++torn_loads;
       }
     });
   }
   constexpr int kPuts = 40;
   for (int i = 0; i < kPuts; ++i) {
-    const char* next = (i % 2 == 0) ? kRegistryV2 : kRegistryV1;
-    ASSERT_TRUE(store->Put("site0", ParseRegistry(next)).ok()) << i;
+    auto next = (i % 2 == 0) ? RegistryV2() : RegistryV1();
+    ASSERT_TRUE(store->Put("site0", next).ok()) << i;
   }
   stop.store(true);
   for (std::thread& reader : readers) reader.join();
@@ -321,83 +345,32 @@ TEST(TemplateStoreTest, ConcurrentLoadsDuringPutServeOldOrNew) {
   ASSERT_TRUE(final_load.ok()) << final_load.status();
 }
 
-// Migration contract: a store written before the binary format (JSON
-// generation files) keeps loading, the next Put writes a binary `.tpl`
-// generation, and GC retires the JSON file — old-or-new, never torn,
-// across the format boundary.
-TEST(TemplateStoreTest, MixedFormatGenerationsMigrateAndCollect) {
-  std::string dir = FreshDir("mixed");
-  fs::create_directories(dir);
-  // Hand-write generation 1 exactly as the pre-binary store did: a JSON
-  // payload plus a manifest entry carrying its FNV checksum.
-  std::string document = Canonical(kRegistryV1);
-  {
-    std::ofstream out(fs::path(dir) / "site0.g1.json",
-                      std::ios::binary | std::ios::trunc);
-    out << document;
-  }
-  {
-    char checksum[32];
-    std::snprintf(checksum, sizeof(checksum), "%016llx",
-                  static_cast<unsigned long long>(Fnv1a64(document)));
-    std::ofstream out(fs::path(dir) / "MANIFEST.json",
-                      std::ios::binary | std::ios::trunc);
-    out << R"({"format":"thor-store","version":1,"sites":[{"site":"site0",)"
-        << R"("generation":1,"file":"site0.g1.json","checksum":")"
-        << checksum << R"("}]})";
-  }
-  auto store = TemplateStore::Open(dir);
-  ASSERT_TRUE(store.ok()) << store.status();
-  // Read-compat: the JSON generation loads through the content sniff.
+// Load is the shared read loop (ReadRaw) plus decoding: store.load.read
+// fires on every read attempt, store.load.deserialize only once the bytes
+// passed their checksum and before DecodeTemplates runs.
+TEST(TemplateStoreTest, LoadFailpointsFireAroundTheSharedReadLoop) {
+  auto store = TemplateStore::Open(FreshDir("load_failpoints"));
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store->Put("site0", RegistryV1()).ok());
+  auto* failpoints = FailpointRegistry::Global();
+
+  ASSERT_TRUE(failpoints->Arm("store.load.read", "error").ok());
+  EXPECT_FALSE(store->Load("site0").ok());
+  ASSERT_TRUE(failpoints->Arm("store.load.read", "error").ok());
+  EXPECT_FALSE(store->ReadRaw("site0").ok());
+  failpoints->Disarm("store.load.read");
+
+  int64_t hits_before = failpoints->HitCount("store.load.deserialize");
+  ASSERT_TRUE(failpoints->Arm("store.load.deserialize", "error").ok());
+  auto raw = store->ReadRaw("site0");
+  ASSERT_TRUE(raw.ok()) << raw.status();
+  EXPECT_EQ(raw->payload, EncodeTemplates(RegistryV1()));
+  EXPECT_EQ(failpoints->HitCount("store.load.deserialize"), hits_before);
+  EXPECT_FALSE(store->Load("site0").ok());
+  failpoints->Disarm("store.load.deserialize");
   auto loaded = store->Load("site0");
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->generation, 1);
-  EXPECT_EQ(loaded->registry.ToJson(), Canonical(kRegistryV1));
-  // Migration: the next Put commits a binary generation 2 and GC removes
-  // the JSON generation 1.
-  ASSERT_TRUE(store->Put("site0", ParseRegistry(kRegistryV2)).ok());
-  auto migrated = store->Load("site0");
-  ASSERT_TRUE(migrated.ok()) << migrated.status();
-  EXPECT_EQ(migrated->generation, 2);
-  EXPECT_EQ(migrated->registry.ToJson(), Canonical(kRegistryV2));
-  int files = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    ++files;
-    std::string name = entry.path().filename().string();
-    EXPECT_TRUE(name == "MANIFEST.json" || name == "site0.g2.tpl") << name;
-  }
-  EXPECT_EQ(files, 2);
-  // A crash between the migrating Put's template write and its manifest
-  // commit must leave the JSON generation serving (old), never a mix.
-  std::string dir2 = FreshDir("mixed_crash");
-  fs::create_directories(dir2);
-  {
-    std::ofstream out(fs::path(dir2) / "site0.g1.json",
-                      std::ios::binary | std::ios::trunc);
-    out << document;
-  }
-  {
-    char checksum[32];
-    std::snprintf(checksum, sizeof(checksum), "%016llx",
-                  static_cast<unsigned long long>(Fnv1a64(document)));
-    std::ofstream out(fs::path(dir2) / "MANIFEST.json",
-                      std::ios::binary | std::ios::trunc);
-    out << R"({"format":"thor-store","version":1,"sites":[{"site":"site0",)"
-        << R"("generation":1,"file":"site0.g1.json","checksum":")"
-        << checksum << R"("}]})";
-  }
-  auto crashing = TemplateStore::Open(dir2);
-  ASSERT_TRUE(crashing.ok());
-  auto* failpoints = FailpointRegistry::Global();
-  ASSERT_TRUE(failpoints->Arm("store.put.manifest_rename", "error").ok());
-  EXPECT_FALSE(crashing->Put("site0", ParseRegistry(kRegistryV2)).ok());
-  failpoints->Disarm("store.put.manifest_rename");
-  auto survivor = TemplateStore::Open(dir2);
-  ASSERT_TRUE(survivor.ok());
-  auto still_old = survivor->Load("site0");
-  ASSERT_TRUE(still_old.ok()) << still_old.status();
-  EXPECT_EQ(still_old->generation, 1);
-  EXPECT_EQ(still_old->registry.ToJson(), Canonical(kRegistryV1));
+  EXPECT_EQ(EncodeTemplates(loaded->registry), EncodeTemplates(RegistryV1()));
 }
 
 TEST(Fnv1a64Test, MatchesKnownVectorsAndSeparatesInputs) {

@@ -23,8 +23,8 @@ mkdir -p "$WORK" || exit 1
 
 # Probe two sites once; the pages are reused by every scenario. site0 is
 # pre-learned into each store (exercising the store.load.* paths), site1 is
-# left unknown so its first request drives the full relearn machinery
-# (store.put.* and serve.relearn.* paths).
+# left unknown so its first request drives the background relearn machinery
+# (relearn_mgr.*, canary.* and store.put.* paths).
 "$THORCLI" probe --sites 2 --queries 30 --out "$WORK/probe" >/dev/null || {
   echo "FAIL: probe"; exit 1;
 }
@@ -77,15 +77,11 @@ for fp in $failpoints; do
   # fleet.* failpoints live in the router and the replication agent and
   # are crashed by tests/thord_fleet_failover.sh with a live fleet.
   case "$fp" in net.*|fleet.*) continue ;; esac
-  # Per-failpoint arming: most fire in a default (background-relearn) run,
-  # but the synchronous-relearn failpoints only exist on the inline path
-  # (--relearn-workers 0), and the rollback boundary is only reached when
-  # a canary actually loses — force that with a paired poison.
+  # Per-failpoint arming: every one fires in a default run except the
+  # rollback boundary, which is only reached when a canary actually loses
+  # — force that with a paired poison.
   spec="$fp:crash"
-  extra_flags=""
   case "$fp" in
-    serve.relearn.begin|serve.relearn.commit)
-      extra_flags="--relearn-workers 0" ;;
     canary.rollback)
       spec="canary.poison:error,canary.rollback:crash" ;;
   esac
@@ -95,7 +91,7 @@ for fp in $failpoints; do
 
     status=0
     THOR_FAILPOINTS="$spec" THOR_THREADS=$threads \
-      "$THORD" --store "$store" --fleet 2 --seed 77 --batch 4 $extra_flags \
+      "$THORD" --store "$store" --fleet 2 --seed 77 --batch 4 \
       < "$WORK/requests.ndjson" \
       > "$WORK/$fp.t$threads.crash.out" \
       2> "$WORK/$fp.t$threads.crash.err" || status=$?

@@ -8,7 +8,7 @@
 # segment length, so its relearn probes sample the *current* redesign.
 #
 # Checks:
-#   (a) the full stream is answered — zero request-path relearn stalls;
+#   (a) the full stream is answered;
 #   (b) hit-rate recovers after every drift event (template hits in each
 #       segment's tail);
 #   (c) output is byte-identical at THOR_THREADS=1 and 4 (the ticketed
@@ -76,12 +76,6 @@ for threads in 1 4; do
   lines=$(wc -l < "$WORK/t$threads.out")
   if [ "$lines" -ne "$total" ]; then
     echo "FAIL: t$threads: $lines/$total responses"
-    fail=1
-  fi
-  # The request path never ran a pipeline inline: the stall counter must
-  # not even exist in the exported registry.
-  if grep -q 'serve.relearn_stalls' "$WORK/t$threads.err"; then
-    echo "FAIL: t$threads: request path stalled on a relearn"
     fail=1
   fi
   # One learn-once plus at least one post-drift relearn committed.

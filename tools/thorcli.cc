@@ -12,6 +12,8 @@
 // `probe` are just the built-in way to get such a directory.
 
 #include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -29,6 +31,7 @@
 #include "src/deepweb/resilient_prober.h"
 #include "src/deepweb/site_generator.h"
 #include "src/deepweb/transport.h"
+#include "src/html/tag_table.h"
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -41,6 +44,7 @@
 #include "src/search/deep_web_search.h"
 #include "src/serve/extraction_service.h"
 #include "src/serve/relearn_manager.h"
+#include "src/serve/template_codec.h"
 #include "src/serve/template_store.h"
 #include "src/util/json.h"
 #include "src/util/json_reader.h"
@@ -59,8 +63,9 @@ int Usage() {
                "               [--drift-seed S --epoch N [--drift-rate R] "
                "[--drift-ab R]]\n"
                "  thorcli extract DIR [--json]\n"
-               "  thorcli analyze DIR --templates FILE\n"
-               "  thorcli apply FILE.html... --templates FILE [--json]\n"
+               "  thorcli analyze DIR [--templates FILE.tpl]\n"
+               "  thorcli apply FILE.html... [--templates FILE.tpl] [--json]\n"
+               "  thorcli dump FILE.tpl\n"
                "  thorcli learn DIR... --store STOREDIR [--site NAME]\n"
                "  thorcli extract-from-store FILE.html... --store STOREDIR"
                " --site NAME [--json]\n"
@@ -103,6 +108,12 @@ int Usage() {
                "drift and --epoch N\ncaches the pages the fleet serves "
                "after N redesign steps (same seed + different\nepoch = "
                "same site, new template).\n"
+               "\n"
+               "templates: `analyze` learns a page directory's templates "
+               "into a THORTPL1 file\n(default templates.tpl) and `apply` "
+               "extracts single pages with it; `dump`\nprints any THORTPL1 "
+               "file as text — an analyze output or a store's\n"
+               "<site>.g<N>.tpl generation.\n"
                "\n"
                "serving: `learn` runs the full pipeline over each page "
                "directory and commits\nthe learned templates to a "
@@ -182,12 +193,22 @@ void WriteExtractionJson(const html::TagTree& tree, const std::string& name,
   json->EndObject();
 }
 
+// Reads a THORTPL1 templates file: an `analyze` output or a store's
+// generation file.
+Result<core::TemplateRegistry> ReadTemplatesFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::Internal("cannot read " + path);
+  std::string blob((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  return serve::DecodeTemplates(blob);
+}
+
 // --- analyze: full THOR run -> persisted templates -----------------------
 
 int RunAnalyze(int argc, char** argv) {
   if (argc < 1) return Usage();
   std::string dir = argv[0];
-  std::string templates_file = "templates.json";
+  std::string templates_file = "templates.tpl";
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--templates") && i + 1 < argc) {
       templates_file = argv[++i];
@@ -208,8 +229,14 @@ int RunAnalyze(int argc, char** argv) {
   }
   core::TemplateRegistry registry =
       core::TemplateRegistry::Learn(pages, *result);
-  std::ofstream out(templates_file);
-  out << registry.ToJson() << "\n";
+  std::ofstream out(templates_file, std::ios::binary | std::ios::trunc);
+  out << serve::EncodeTemplates(registry);
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s: %s\n", templates_file.c_str(),
+                 std::strerror(errno));
+    return 1;
+  }
   std::printf("learned %zu template(s) from %zu pages -> %s\n",
               registry.templates().size(), pages.size(),
               templates_file.c_str());
@@ -219,7 +246,7 @@ int RunAnalyze(int argc, char** argv) {
 // --- apply: persisted templates -> extraction on single pages ------------
 
 int RunApply(int argc, char** argv) {
-  std::string templates_file = "templates.json";
+  std::string templates_file = "templates.tpl";
   bool as_json = false;
   std::vector<std::string> inputs;
   for (int i = 0; i < argc; ++i) {
@@ -232,10 +259,7 @@ int RunApply(int argc, char** argv) {
     }
   }
   if (inputs.empty()) return Usage();
-  std::ifstream in(templates_file);
-  std::string json_text((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  auto registry = core::TemplateRegistry::FromJson(json_text);
+  auto registry = ReadTemplatesFile(templates_file);
   if (!registry.ok()) {
     std::fprintf(stderr, "cannot load %s: %s\n", templates_file.c_str(),
                  registry.status().ToString().c_str());
@@ -265,6 +289,51 @@ int RunApply(int argc, char** argv) {
   if (as_json) {
     json.EndArray(), json.EndObject();
     std::printf("%s\n", json.str().c_str());
+  }
+  return 0;
+}
+
+// --- dump: any THORTPL1 file -> text ------------------------------------
+
+// Shortest decimal text that reads back as exactly `value`.
+std::string ExactDouble(double value) {
+  char buf[32];
+  auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  return std::string(buf, end);
+}
+
+int RunDump(int argc, char** argv) {
+  if (argc != 1) return Usage();
+  auto registry = ReadTemplatesFile(argv[0]);
+  if (!registry.ok()) {
+    std::fprintf(stderr, "cannot load %s: %s\n", argv[0],
+                 registry.status().ToString().c_str());
+    return 1;
+  }
+  auto print_tags = [](const char* label, const ir::SparseVector& tags) {
+    std::printf("  %-17s", label);
+    for (const ir::VectorEntry& e : tags.entries()) {
+      std::printf(" %s=%s", html::TagName(e.id).c_str(),
+                  ExactDouble(e.weight).c_str());
+    }
+    std::printf("\n");
+  };
+  std::printf("%s: %zu template(s)\n", argv[0],
+              registry->templates().size());
+  for (size_t t = 0; t < registry->templates().size(); ++t) {
+    const core::ExtractionTemplate& tmpl = registry->templates()[t];
+    std::printf("template %zu\n", t);
+    std::printf("  path_symbols      %s\n", tmpl.path_symbols.c_str());
+    std::printf("  prototype         %s fanout=%d depth=%d num_nodes=%d\n",
+                tmpl.prototype.path_symbols.c_str(), tmpl.prototype.fanout,
+                tmpl.prototype.depth, tmpl.prototype.num_nodes);
+    std::printf("  support           %d\n", tmpl.support);
+    std::printf("  max_distance      %s\n",
+                ExactDouble(tmpl.max_distance).c_str());
+    std::printf("  min_stable_match  %s\n",
+                ExactDouble(tmpl.min_stable_match).c_str());
+    print_tags("stable_tags", tmpl.stable_tags);
+    print_tags("known_tags", tmpl.known_tags);
   }
   return 0;
 }
@@ -911,6 +980,7 @@ int Main(int argc, char** argv) {
   if (command == "extract") return RunExtract(argc - 2, argv + 2);
   if (command == "analyze") return RunAnalyze(argc - 2, argv + 2);
   if (command == "apply") return RunApply(argc - 2, argv + 2);
+  if (command == "dump") return RunDump(argc - 2, argv + 2);
   if (command == "learn") return RunLearn(argc - 2, argv + 2);
   if (command == "extract-from-store") {
     return RunExtractFromStore(argc - 2, argv + 2);

@@ -10,10 +10,12 @@
 //   {"site":"site0","source":"template","pagelet":"html>body>table",
 //    "objects":4,"confidence":0.97,"generation":1}
 //
-// `source` is "template" (served from the store/cache), "relearn" (this
-// request triggered a full Probe→Cluster→Discover relearn), "miss" (no
+// `source` is "template" (served from the store/cache), "miss" (no
 // template fit), "shed" (rejected by admission control or a draining
 // shutdown), or "deadline" (the batch deadline overtook the request).
+// With --fleet, a miss on an unknown or stale site also enqueues a
+// background Probe→Cluster→Discover relearn; a generation that wins its
+// canary serves from a later batch, never from the request that asked.
 //
 // A reader thread parses stdin while a worker thread batches requests
 // through the extraction service (see serve/server_loop.h); responses are
@@ -98,9 +100,8 @@ int Usage() {
       "(default 20)\n"
       "  --relearn-miss-rate R   window miss rate that triggers relearn "
       "(default 0.5)\n"
-      "  --relearn-workers N     background relearn workers; 0 relearns "
-      "inline on the\n"
-      "                          request path (default 1)\n"
+      "  --relearn-workers N     background relearn workers, at least 1 "
+      "(default 1)\n"
       "  --relearn-queue N       pending background relearns before the "
       "oldest is shed\n"
       "                          (default 8)\n"
@@ -118,8 +119,7 @@ int Usage() {
       "redesign\n"
       "  --drift-every N         advance one drift epoch every N stream "
       "requests\n"
-      "                          (default 0 = never; needs background "
-      "workers)\n"
+      "                          (default 0 = never)\n"
       "  --listen PORT           serve NDJSON and HTTP/1.1 over loopback "
       "TCP instead\n"
       "                          of stdio (0 = ephemeral port)\n"
@@ -277,7 +277,10 @@ int Main(int argc, char** argv) {
       return Usage();
     }
   }
-  if (options.store_dir.empty() || options.batch < 1) return Usage();
+  if (options.store_dir.empty() || options.batch < 1 ||
+      options.relearn_workers < 1) {
+    return Usage();
+  }
 
   auto store = serve::TemplateStore::Open(options.store_dir);
   if (!store.ok()) {
@@ -324,7 +327,6 @@ int Main(int argc, char** argv) {
   service_options.threads = options.threads;
   service_options.relearn_min_requests = options.relearn_window;
   service_options.relearn_miss_rate = options.relearn_miss_rate;
-  service_options.relearn_deadline_ms = options.relearn_deadline_ms;
   service_options.metrics = &metrics;
 
   // With --fleet, sites named "site<K>" can be relearned by probing the
@@ -361,7 +363,6 @@ int Main(int argc, char** argv) {
     return core::ToPages(*sample);
   };
 
-  serve::ExtractionService::SampleProvider sync_sampler;
   std::unique_ptr<serve::RelearnManager> manager;
   if (options.fleet > 0) {
     deepweb::FleetOptions fleet_options;
@@ -370,49 +371,36 @@ int Main(int argc, char** argv) {
     fleet_options.drift.mutation_rate = options.drift_rate;
     fleet_options.drift.ab_fraction = options.drift_ab;
     fleet = deepweb::GenerateSiteFleet(fleet_options);
-    if (options.relearn_workers > 0) {
-      // Fleet relearns go through the background queue: the request path
-      // only enqueues, and workers probe the fleet off-thread. Per-site
-      // job dedup means at most one worker touches fleet[id] at a time,
-      // and nothing else reads the fleet (request pages arrive on stdin),
-      // so SetEpoch needs no locking.
-      serve::RelearnManagerOptions manager_options;
-      manager_options.workers = options.relearn_workers;
-      manager_options.queue_capacity = options.relearn_queue;
-      manager_options.canary_sample = options.canary_sample;
-      manager_options.canary_floor = options.canary_floor;
-      manager_options.relearn_deadline_ms = options.relearn_deadline_ms;
-      manager_options.metrics = &metrics;
-      manager = std::make_unique<serve::RelearnManager>(
-          &*store, manager_options,
-          [&options, &fleet, probe_fleet](const std::string& site,
-                                          uint64_t ticket)
-              -> std::vector<core::Page> {
-            int id = FleetSiteId(site, fleet.size());
-            if (id < 0) return {};
-            if (options.drift_every > 0) {
-              int epoch = static_cast<int>(
-                  (ticket - 1) * static_cast<uint64_t>(options.batch) /
-                  static_cast<uint64_t>(options.drift_every));
-              fleet[static_cast<size_t>(id)].SetEpoch(epoch);
-            }
-            return probe_fleet(id);
-          });
-      service_options.relearn_manager = manager.get();
-    } else {
-      // --relearn-workers 0: the synchronous request-path relearn of
-      // PR 4/5 (drift epochs stay at 0 — deterministic epoch selection
-      // needs the ticketed background queue).
-      sync_sampler = [&fleet, probe_fleet](const std::string& site)
-          -> std::vector<core::Page> {
-        int id = FleetSiteId(site, fleet.size());
-        if (id < 0) return {};
-        return probe_fleet(id);
-      };
-    }
+    // Fleet relearns go through the background queue: the request path
+    // only enqueues, and workers probe the fleet off-thread. Per-site job
+    // dedup means at most one worker touches fleet[id] at a time, and
+    // nothing else reads the fleet (request pages arrive on stdin), so
+    // SetEpoch needs no locking.
+    serve::RelearnManagerOptions manager_options;
+    manager_options.workers = options.relearn_workers;
+    manager_options.queue_capacity = options.relearn_queue;
+    manager_options.canary_sample = options.canary_sample;
+    manager_options.canary_floor = options.canary_floor;
+    manager_options.relearn_deadline_ms = options.relearn_deadline_ms;
+    manager_options.metrics = &metrics;
+    manager = std::make_unique<serve::RelearnManager>(
+        &*store, manager_options,
+        [&options, &fleet, probe_fleet](const std::string& site,
+                                        uint64_t ticket)
+            -> std::vector<core::Page> {
+          int id = FleetSiteId(site, fleet.size());
+          if (id < 0) return {};
+          if (options.drift_every > 0) {
+            int epoch = static_cast<int>(
+                (ticket - 1) * static_cast<uint64_t>(options.batch) /
+                static_cast<uint64_t>(options.drift_every));
+            fleet[static_cast<size_t>(id)].SetEpoch(epoch);
+          }
+          return probe_fleet(id);
+        });
+    service_options.relearn_manager = manager.get();
   }
-  serve::ExtractionService service(&*store, service_options,
-                                   std::move(sync_sampler));
+  serve::ExtractionService service(&*store, service_options);
 
   serve::ServerLoopOptions loop_options;
   loop_options.batch = options.batch;
