@@ -149,6 +149,31 @@ Result<uint16_t> LocalPort(const Socket& socket) {
   return static_cast<uint16_t>(ntohs(addr.sin_port));
 }
 
+Status WritePortFile(const std::string& path, uint16_t port) {
+  const std::string tmp = path + ".tmp";
+  const std::string text = std::to_string(port) + "\n";
+  // Names the failed step with the OS error, then drops the tmp file.
+  auto fail = [&tmp](const std::string& step) {
+    Status status = Status::Internal(step + ": " + std::strerror(errno));
+    ::unlink(tmp.c_str());
+    return status;
+  };
+  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return fail("cannot create " + tmp);
+  ssize_t written = ::write(fd, text.data(), text.size());
+  if (written != static_cast<ssize_t>(text.size())) {
+    if (written >= 0) errno = EIO;  // a short write sets no errno
+    Status status = fail("cannot write " + tmp);
+    ::close(fd);
+    return status;
+  }
+  if (::close(fd) != 0) return fail("cannot close " + tmp);
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    return fail("cannot rename " + tmp + " to " + path);
+  }
+  return Status::OK();
+}
+
 Status WaitReady(int fd, bool for_write, const Deadline& deadline) {
   for (;;) {
     THOR_RETURN_IF_ERROR(deadline.Check("socket wait"));

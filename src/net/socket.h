@@ -94,6 +94,13 @@ Result<Socket> ListenTcp(uint16_t port, int backlog = 128);
 /// Port a bound socket actually listens on.
 Result<uint16_t> LocalPort(const Socket& socket);
 
+/// Publishes a bound port to scripts that poll `path` for it: writes
+/// "<port>\n" to `path` + ".tmp", then renames it over `path`, so a poller
+/// never reads a half-written port. The write, the close and the rename
+/// are each checked; an error names the failed step and the OS error, and
+/// removes the temporary file.
+Status WritePortFile(const std::string& path, uint16_t port);
+
 /// Blocking-with-deadline TCP connect to `host`:`port`. `host` may be an
 /// IPv4 literal, an IPv6 literal, or a hostname — hostnames resolve via
 /// getaddrinfo and every returned address is attempted in resolver order

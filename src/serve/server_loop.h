@@ -57,9 +57,6 @@ struct ServerLoopOptions {
 ///   - CancelInFlight(): additionally expire the in-flight batch's
 ///     deadline (second signal), degrading its unfinished requests to
 ///     typed deadline responses instead of waiting out the extraction.
-///
-/// Also the harness bench_serve_overload drives to measure shed rate and
-/// tail latency under burst load.
 class ServerLoop {
  public:
   using Response = ExtractionService::Response;

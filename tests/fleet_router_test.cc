@@ -146,6 +146,7 @@ TEST(FleetRouterTest, ConnectFailureRedirectsToTheNextReplica) {
   options.connect_timeout_ms = 2000.0;
   Router router({{Local(DeadPort()), Local(live.port)}}, options);
 
+  const double start_ms = SystemClock::Instance()->NowMs();
   for (int i = 0; i < 8; ++i) {
     Response response = router.Forward({"s" + std::to_string(i), "<html/>"});
     EXPECT_EQ(response.source, Source::kTemplate) << response.error;
@@ -155,6 +156,10 @@ TEST(FleetRouterTest, ConnectFailureRedirectsToTheNextReplica) {
   // happened — and none of them cost the client a response.
   EXPECT_GT(metrics.GetCounter("fleet.redirects")->value(), 0);
   EXPECT_GT(metrics.GetCounter("fleet.connect_failures")->value(), 0);
+  // A refused loopback connect fails at once: failover must never wait out
+  // the connect timeout, not even once across all eight forwards.
+  EXPECT_LT(SystemClock::Instance()->NowMs() - start_ms,
+            options.connect_timeout_ms);
 }
 
 TEST(FleetRouterTest, DeadShardBreaksTheCircuitAndShedsTyped) {

@@ -322,7 +322,7 @@ TEST(NetServerTest, HalfClosedPeerBecomesTypedCloseNotSigpipe) {
 
 TEST(NetServerTest, ConcurrentConnectionsAllAnswered) {
   NetWorld world("concurrent");
-  constexpr int kClients = 16;
+  constexpr int kClients = 64;
   std::vector<std::thread> clients;
   std::vector<std::string> streams(kClients);
   for (int c = 0; c < kClients; ++c) {

@@ -1,5 +1,7 @@
 #include "src/core/thor.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/cluster/quality.h"
@@ -180,13 +182,16 @@ TEST(ThorPipelineTest, IdenticalAcrossThreadCounts) {
     auto pages = ToPages(sample);
     ThorOptions serial;
     serial.SetAllThreads(1);
-    ThorOptions parallel;
-    parallel.SetAllThreads(8);
     auto a = RunThor(pages, serial);
-    auto b = RunThor(pages, parallel);
     ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ExpectIdenticalResults(*a, *b);
+    for (int threads : {2, 4, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ThorOptions parallel;
+      parallel.SetAllThreads(threads);
+      auto b = RunThor(pages, parallel);
+      ASSERT_TRUE(b.ok());
+      ExpectIdenticalResults(*a, *b);
+    }
   }
 }
 

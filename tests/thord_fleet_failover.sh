@@ -5,12 +5,13 @@
 # fleet is healthy (byte-identical streams at THOR_THREADS=1 and 4), and
 # must keep the client stream complete and uncorrupted when workers die
 # by kill -9 under live load: every request gets exactly one well-formed
-# response, dead replicas are redirected around, and the only degraded
-# shape allowed is a typed shed. A replica restarted behind its shard
-# must then catch up through pull anti-entropy — here with an injected
-# replication error on the first round — and serve the adopted
-# generation. Finally the fleet.route failpoint must surface as a typed
-# shed in the stream, never as a missing or corrupt line.
+# response, dead replicas are redirected around and ejected by their
+# circuit breakers, and the only degraded shape allowed is a typed shed.
+# A replica restarted behind its shard must then catch up through pull
+# anti-entropy — here with an injected replication error on the first
+# round — and serve the adopted generation. Finally the fleet.route
+# failpoint must surface as a typed shed in the stream, never as a
+# missing or corrupt line.
 #
 # usage: thord_fleet_failover.sh THORD THORCLI THOR_ROUTER WORKDIR
 
@@ -187,6 +188,12 @@ redirects=$(sed -n 's/.*"fleet\.redirects":\([0-9]*\).*/\1/p' \
   "$WORK/router.kill.err")
 if [ -z "$redirects" ] || [ "$redirects" -eq 0 ]; then
   echo "FAIL: kill: router metrics report no redirects"
+  fail=1
+fi
+ejections=$(sed -n 's/.*"fleet\.ejections":\([0-9]*\).*/\1/p' \
+  "$WORK/router.kill.err")
+if [ -z "$ejections" ] || [ "$ejections" -eq 0 ]; then
+  echo "FAIL: kill: router metrics report no ejections"
   fail=1
 fi
 

@@ -16,34 +16,6 @@ Usage:
   bench_micro --benchmark_filter='BM_(Hot)?ParseLocate' \
       --benchmark_format=json > report.json
   check_bench_regression.py report.json BENCH_micro_baseline.json
-
-Second mode (--serve-network): structural gate on the networked-serving
-bench JSON (bench_serve_network). Absolute throughput is host-dependent,
-so the gate checks shape invariants that must hold on any host:
-  - every run completed its full request count with zero client errors;
-  - the best multi-connection throughput beats the single-connection run
-    (concurrency must pay for itself somewhere in the sweep);
-  - at the highest concurrency, p99 stays within a generous multiple of
-    p50 — the backlog cap and per-connection fairness bound the tail.
-
-Usage:
-  bench_serve_network 4 1024 report.json
-  check_bench_regression.py --serve-network report.json
-
-Third mode (--fleet): structural gate on the fleet-failover bench JSON
-(bench_fleet_failover). Host-independent shape invariants:
-  - both phases completed every request with zero untyped errors;
-  - the healthy phase shed nothing at all;
-  - the failover phase actually failed over: redirects and breaker
-    ejections are visible in the counters, and typed sheds stay a
-    minority of the phase;
-  - the failover tail stays within a generous multiple of the healthy
-    tail — a refused loopback connect must cost microseconds, never a
-    timeout.
-
-Usage:
-  bench_fleet_failover 2048 report.json
-  check_bench_regression.py --fleet report.json
 """
 
 import json
@@ -57,117 +29,7 @@ def real_time(report, name):
     raise SystemExit(f"error: benchmark '{name}' missing from report")
 
 
-def check_serve_network(path):
-    """Exit code for the --serve-network structural gate."""
-    with open(path) as f:
-        report = json.load(f)
-    results = report.get("results", [])
-    if not results:
-        raise SystemExit("error: no results in serve-network report")
-    expected = int(report.get("requests_per_run", 0))
-    failures = []
-    for run in results:
-        conns = run["connections"]
-        if int(run.get("errors", 0)) != 0:
-            failures.append(f"{conns} conns: {run['errors']} client errors")
-        if int(run.get("requests", 0)) < expected:
-            failures.append(
-                f"{conns} conns: served {run['requests']}/{expected} requests"
-            )
-    single = [r for r in results if r["connections"] == 1]
-    multi = [r for r in results if r["connections"] > 1]
-    if single and multi:
-        base = float(single[0]["throughput_rps"])
-        best = max(float(r["throughput_rps"]) for r in multi)
-        print(
-            f"throughput: 1 conn {base:.0f} req/s, "
-            f"best multi-conn {best:.0f} req/s"
-        )
-        if best < base:
-            failures.append(
-                f"no concurrency win: best multi-conn {best:.0f} req/s "
-                f"< single-conn {base:.0f} req/s"
-            )
-    top = max(results, key=lambda r: r["connections"])
-    tail_limit = 50.0
-    p50 = float(top["p50_ms"])
-    p99 = float(top["p99_ms"])
-    print(
-        f"tail at {top['connections']} conns: p50 {p50:.2f}ms, "
-        f"p99 {p99:.2f}ms (limit {tail_limit:.0f}x p50)"
-    )
-    if p50 > 0 and p99 > tail_limit * p50:
-        failures.append(
-            f"unbounded tail at {top['connections']} conns: "
-            f"p99 {p99:.2f}ms > {tail_limit:.0f}x p50 {p50:.2f}ms"
-        )
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print("OK: networked serving within budget")
-    return 0
-
-
-def check_fleet(path):
-    """Exit code for the --fleet structural gate."""
-    with open(path) as f:
-        report = json.load(f)
-    phases = {p["phase"]: p for p in report.get("phases", [])}
-    counters = report.get("counters", {})
-    if "healthy" not in phases or "failover" not in phases:
-        raise SystemExit("error: fleet report is missing a phase")
-    expected = int(report.get("requests_per_phase", 0))
-    failures = []
-    for name, phase in phases.items():
-        if int(phase.get("errors", 0)) != 0:
-            failures.append(f"{name}: {phase['errors']} untyped errors")
-        if int(phase.get("requests", 0)) < expected:
-            failures.append(
-                f"{name}: {phase['requests']}/{expected} responses"
-            )
-    healthy = phases["healthy"]
-    failover = phases["failover"]
-    if int(healthy.get("shed", 0)) != 0:
-        failures.append(f"healthy phase shed {healthy['shed']} requests")
-    if int(failover.get("shed", 0)) >= expected / 2:
-        failures.append(
-            f"failover shed {failover['shed']}/{expected} — "
-            "redirects never engaged"
-        )
-    redirects = int(counters.get("fleet.redirects", 0))
-    ejections = int(counters.get("fleet.ejections", 0))
-    print(f"failover counters: {redirects} redirects, {ejections} ejections")
-    if redirects < 1:
-        failures.append("no redirects recorded — the kill was not absorbed")
-    if ejections < 1:
-        failures.append("no ejections recorded — the breaker never opened")
-    tail_limit = 50.0
-    healthy_p99 = float(healthy["p99_ms"])
-    failover_p99 = float(failover["p99_ms"])
-    limit = max(tail_limit * healthy_p99, 100.0)
-    print(
-        f"tail: healthy p99 {healthy_p99:.2f}ms, "
-        f"failover p99 {failover_p99:.2f}ms (limit {limit:.0f}ms)"
-    )
-    if failover_p99 > limit:
-        failures.append(
-            f"failover tail blew up: p99 {failover_p99:.2f}ms > "
-            f"{limit:.0f}ms"
-        )
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}")
-        return 1
-    print("OK: fleet failover within budget")
-    return 0
-
-
 def main(argv):
-    if len(argv) == 3 and argv[1] == "--serve-network":
-        return check_serve_network(argv[2])
-    if len(argv) == 3 and argv[1] == "--fleet":
-        return check_fleet(argv[2])
     if len(argv) != 3:
         raise SystemExit(__doc__)
     with open(argv[1]) as f:

@@ -25,7 +25,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -209,12 +208,13 @@ int Main(int argc, char** argv) {
     return 1;
   }
   if (!port_file.empty()) {
-    // Write-then-rename so a poller never reads a half-written port.
-    std::string tmp = port_file + ".tmp";
-    std::ofstream out(tmp, std::ios::trunc);
-    out << *port << "\n";
-    out.close();
-    std::rename(tmp.c_str(), port_file.c_str());
+    Status written = net::WritePortFile(port_file, *port);
+    if (!written.ok()) {
+      std::fprintf(stderr, "cannot write --port-file: %s\n",
+                   written.ToString().c_str());
+      server.Shutdown(0.0);
+      return 1;
+    }
   }
   std::fprintf(stderr, "thor-router listening on 127.0.0.1:%u\n",
                static_cast<unsigned>(*port));

@@ -37,7 +37,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -490,12 +489,15 @@ int Main(int argc, char** argv) {
       return 1;
     }
     if (!options.port_file.empty()) {
-      // Write-then-rename so a poller never reads a half-written port.
-      std::string tmp = options.port_file + ".tmp";
-      std::ofstream out(tmp, std::ios::trunc);
-      out << *port << "\n";
-      out.close();
-      std::rename(tmp.c_str(), options.port_file.c_str());
+      Status written = net::WritePortFile(options.port_file, *port);
+      if (!written.ok()) {
+        // An unpublished port would leave a polling script waiting out
+        // its own timeout: fail before serving anything.
+        std::fprintf(stderr, "cannot write --port-file: %s\n",
+                     written.ToString().c_str());
+        server->Shutdown(0.0);
+        return 1;
+      }
     }
     std::fprintf(stderr, "thord listening on 127.0.0.1:%u\n",
                  static_cast<unsigned>(*port));
