@@ -13,6 +13,7 @@
 #include "src/core/subtree_filter.h"
 #include "src/core/template_registry.h"
 #include "src/core/thor.h"
+#include "src/deepweb/corpus.h"
 #include "src/deepweb/prober.h"
 #include "src/deepweb/site_generator.h"
 #include "src/html/arena_parser.h"
@@ -140,9 +141,9 @@ BENCHMARK(BM_TermSignature);
 std::vector<ir::SparseVector> ProbeTagCounts() {
   std::vector<ir::SparseVector> counts;
   deepweb::ProbeOptions probe;
-  for (const auto& response : deepweb::ProbeSite(BenchSite(), probe)) {
-    counts.push_back(
-        core::TagCountVector(html::ParseHtml(response.html)));
+  deepweb::SiteSample sample = deepweb::BuildSiteSample(BenchSite(), probe);
+  for (const auto& page : sample.pages) {
+    counts.push_back(core::TagCountVector(page.tree));
   }
   return counts;
 }

@@ -54,7 +54,8 @@ int Main(int argc, char** argv) {
     deepweb::SiteSample sample;
     sample.site_id = site.config().site_id;
     for (const auto& response : probe_result.responses) {
-      sample.pages.push_back(deepweb::LabelPage(response));
+      auto page = deepweb::LabelPageChecked(response);
+      if (page.ok()) sample.pages.push_back(std::move(*page));
     }
     auto pages = core::ToPages(sample);
     auto result = core::RunThor(pages, core::ThorOptions{});

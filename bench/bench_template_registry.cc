@@ -42,7 +42,9 @@ int Main(int argc, char** argv) {
       for (int q = 0; q < 100; ++q) {
         std::string word = (q % 7 == 6) ? text::MakeNonsenseWord(&rng)
                                         : text::RandomWord(&rng);
-        deepweb::LabeledPage page = deepweb::LabelPage(site.Query(word));
+        auto labeled = deepweb::LabelPageChecked(site.Query(word));
+        if (!labeled.ok()) continue;
+        const deepweb::LabeledPage& page = *labeled;
         html::NodeId node = registry.Locate(page.tree);
         if (page.pagelet_node != html::kInvalidNode) {
           ++answers;

@@ -61,7 +61,9 @@ int main() {
   for (int i = 0; i < kFreshQueries; ++i) {
     std::string word = text::RandomWord(&rng);
     auto response = site.Query(word);
-    deepweb::LabeledPage page = deepweb::LabelPage(response);
+    auto labeled = deepweb::LabelPageChecked(response);
+    if (!labeled.ok()) continue;
+    const deepweb::LabeledPage& page = *labeled;
     auto t1 = Clock::now();
     auto extraction = registry.Extract(page.tree);
     serve_ms +=

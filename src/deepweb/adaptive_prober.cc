@@ -1,7 +1,5 @@
 #include "src/deepweb/adaptive_prober.h"
 
-#include <algorithm>
-#include <optional>
 #include <utility>
 
 #include "src/core/signature_builder.h"
@@ -20,11 +18,10 @@ ir::SparseVector PageSignature(const std::string& html) {
   return signature;
 }
 
-/// Shared probing loop. `fetch(word)` returns the page or nullopt when the
-/// word was lost to the transport (the word still consumes budget).
-template <typename FetchFn>
-AdaptiveProbeResult AdaptiveProbeCore(const AdaptiveProbeOptions& options,
-                                      FetchFn&& fetch) {
+}  // namespace
+
+AdaptiveProbeResult AdaptiveProbeSite(const DeepWebSite& site,
+                                      const AdaptiveProbeOptions& options) {
   AdaptiveProbeResult result;
   Rng rng(options.seed);
 
@@ -54,12 +51,10 @@ AdaptiveProbeResult AdaptiveProbeCore(const AdaptiveProbeOptions& options,
 
   // Nonsense anchors first: they guarantee the no-match class is sampled.
   for (int i = 0; i < options.nonsense_words; ++i) {
-    std::optional<QueryResponse> response =
-        fetch(text::MakeNonsenseWord(&rng));
-    if (!response) continue;
-    response->from_nonsense_probe = true;
-    absorb(*response);
-    result.responses.push_back(std::move(*response));
+    QueryResponse response = site.Query(text::MakeNonsenseWord(&rng));
+    response.from_nonsense_probe = true;
+    absorb(response);
+    result.responses.push_back(std::move(response));
   }
 
   int rounds_without_novelty = 0;
@@ -69,11 +64,10 @@ AdaptiveProbeResult AdaptiveProbeCore(const AdaptiveProbeOptions& options,
     for (int q = 0;
          q < options.batch_size && result.queries_issued < options.max_queries;
          ++q) {
-      std::optional<QueryResponse> response = fetch(text::RandomWord(&rng));
+      QueryResponse response = site.Query(text::RandomWord(&rng));
       ++result.queries_issued;
-      if (!response) continue;
-      saw_novelty |= absorb(*response);
-      result.responses.push_back(std::move(*response));
+      saw_novelty |= absorb(response);
+      result.responses.push_back(std::move(response));
     }
     rounds_without_novelty = saw_novelty ? 0 : rounds_without_novelty + 1;
     if (rounds_without_novelty >= options.patience) {
@@ -94,35 +88,6 @@ AdaptiveProbeResult AdaptiveProbeCore(const AdaptiveProbeOptions& options,
     }
   }
   result.classes_detected = static_cast<int>(representatives.size());
-  return result;
-}
-
-}  // namespace
-
-AdaptiveProbeResult AdaptiveProbeSite(const DeepWebSite& site,
-                                      const AdaptiveProbeOptions& options) {
-  return AdaptiveProbeCore(options,
-                           [&](const std::string& word)
-                               -> std::optional<QueryResponse> {
-                             return site.Query(word);
-                           });
-}
-
-AdaptiveProbeResult AdaptiveProbeSite(SiteTransport* transport,
-                                      const AdaptiveProbeOptions& options,
-                                      const RetryPolicy& retry,
-                                      Clock* clock) {
-  ProbeStats stats;
-  AdaptiveProbeResult result = AdaptiveProbeCore(
-      options,
-      [&](const std::string& word) -> std::optional<QueryResponse> {
-        auto fetched = FetchWordWithRetry(transport, word, retry, clock,
-                                          &stats);
-        if (!fetched.ok()) return std::nullopt;
-        return std::move(*fetched);
-      });
-  stats.words_planned = options.nonsense_words + result.queries_issued;
-  result.stats = stats;
   return result;
 }
 

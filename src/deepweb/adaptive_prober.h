@@ -4,9 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/deepweb/resilient_prober.h"
 #include "src/deepweb/site.h"
-#include "src/deepweb/transport.h"
 
 namespace thor::deepweb {
 
@@ -36,32 +34,21 @@ struct AdaptiveProbeResult {
   int rounds = 0;
   /// Structural classes detected (novelty representatives).
   int classes_detected = 0;
-  /// Transport-level accounting (all zero on a clean direct transport).
-  ProbeStats stats;
 };
 
-/// \brief Stage-1 refinement: probe until structural coverage saturates.
+/// \brief Stage-1 extension: probe until structural coverage saturates.
 ///
-/// The paper's prober issues a fixed 100+10 queries per site. This variant
-/// implements the stated goal directly — "generate a diverse set of pages
-/// which capture all possible classes of structurally different answer
-/// pages" — by watching the tag-signature novelty of the collected pages
-/// and stopping when no new page class has appeared for `patience` rounds
-/// and every class is sampled at least `min_pages_per_class` times. Simple
-/// sites finish in a few dozen queries; structurally rich sites keep
-/// probing up to the budget.
+/// Bench-only (bench_probe_budget): the pipeline probes through
+/// ResilientProbeSite. The paper's prober issues a fixed 100+10 queries
+/// per site. This variant implements the stated goal directly — "generate
+/// a diverse set of pages which capture all possible classes of
+/// structurally different answer pages" — by watching the tag-signature
+/// novelty of the collected pages and stopping when no new page class has
+/// appeared for `patience` rounds and every class is sampled at least
+/// `min_pages_per_class` times. Simple sites finish in a few dozen
+/// queries; structurally rich sites keep probing up to the budget.
 AdaptiveProbeResult AdaptiveProbeSite(const DeepWebSite& site,
                                       const AdaptiveProbeOptions& options);
-
-/// Transport-aware variant: queries flow through `transport` with
-/// per-query retry/backoff (see FetchWordWithRetry). Words whose fetch
-/// fails even after retries are skipped — they consume budget and are
-/// counted in `stats`, and coverage saturation proceeds on the pages that
-/// did arrive. Deterministic for deterministic transports.
-AdaptiveProbeResult AdaptiveProbeSite(SiteTransport* transport,
-                                      const AdaptiveProbeOptions& options,
-                                      const RetryPolicy& retry = {},
-                                      Clock* clock = nullptr);
 
 }  // namespace thor::deepweb
 

@@ -48,10 +48,6 @@ LabeledPage FinishLabeledPage(const QueryResponse& response,
 
 }  // namespace
 
-LabeledPage LabelPage(const QueryResponse& response) {
-  return FinishLabeledPage(response, html::ParseHtml(response.html));
-}
-
 const char* PageDropReasonName(PageDropReason reason) {
   switch (reason) {
     case PageDropReason::kNone:
@@ -67,11 +63,10 @@ const char* PageDropReasonName(PageDropReason reason) {
 }
 
 Result<LabeledPage> LabelPageChecked(const QueryResponse& response,
-                                     const PageValidationOptions& validation,
                                      html::ParseDiagnostics* diagnostics,
                                      PageDropReason* reason) {
   if (reason != nullptr) *reason = PageDropReason::kNone;
-  if (static_cast<int>(response.html.size()) < validation.min_html_bytes) {
+  if (static_cast<int>(response.html.size()) < kMinPageBytes) {
     if (reason != nullptr) *reason = PageDropReason::kBodyTooSmall;
     return Status::ParseError("page body too small (" +
                               std::to_string(response.html.size()) +
@@ -84,7 +79,7 @@ Result<LabeledPage> LabelPageChecked(const QueryResponse& response,
     if (reason != nullptr) *reason = PageDropReason::kParseFailed;
     return tree.status();
   }
-  if (local.tag_nodes < validation.min_tag_nodes) {
+  if (local.tag_nodes < kMinPageTagNodes) {
     if (reason != nullptr) *reason = PageDropReason::kTreeTooSmall;
     return Status::ParseError(
         "parsed tree too small (" + std::to_string(local.tag_nodes) +
@@ -96,34 +91,27 @@ Result<LabeledPage> LabelPageChecked(const QueryResponse& response,
 
 SiteSample BuildSiteSample(const DeepWebSite& site,
                            const ProbeOptions& options) {
-  SiteSample sample;
-  sample.site_id = site.config().site_id;
-  std::vector<QueryResponse> responses = ProbeSite(site, options);
-  sample.pages.reserve(responses.size());
-  for (const QueryResponse& response : responses) {
-    sample.pages.push_back(LabelPage(response));
-  }
-  return sample;
+  DirectTransport direct(&site);
+  ResilientProbeOptions probe;
+  probe.plan = options;
+  auto sample = BuildSiteSampleResilient(site.config().site_id, &direct, probe);
+  if (sample.ok()) return std::move(*sample);
+  SiteSample empty;
+  empty.site_id = site.config().site_id;
+  return empty;
 }
 
 std::vector<SiteSample> BuildCorpus(const std::vector<DeepWebSite>& fleet,
                                     const ProbeOptions& options) {
-  std::vector<SiteSample> corpus;
-  corpus.reserve(fleet.size());
-  for (const DeepWebSite& site : fleet) {
-    ProbeOptions per_site = options;
-    per_site.seed =
-        options.seed + 0x9e37u * static_cast<uint64_t>(site.config().site_id);
-    corpus.push_back(BuildSiteSample(site, per_site));
-  }
-  return corpus;
+  ResilientProbeOptions probe;
+  probe.plan = options;
+  return BuildCorpusResilient(fleet, probe, FaultOptions{});
 }
 
 Result<SiteSample> BuildSiteSampleResilient(
     int site_id, SiteTransport* transport,
-    const ResilientProbeOptions& options,
-    const PageValidationOptions& validation, Clock* clock) {
-  auto probe = ResilientProbeSite(transport, options, clock);
+    const ResilientProbeOptions& options) {
+  auto probe = ResilientProbeSite(transport, options);
   if (!probe.ok()) return probe.status();
   SiteSample sample;
   sample.site_id = site_id;
@@ -132,7 +120,7 @@ Result<SiteSample> BuildSiteSampleResilient(
   for (const QueryResponse& response : probe->responses) {
     html::ParseDiagnostics diagnostics;
     PageDropReason reason = PageDropReason::kNone;
-    auto page = LabelPageChecked(response, validation, &diagnostics, &reason);
+    auto page = LabelPageChecked(response, &diagnostics, &reason);
     if (!page.ok()) {
       // Damaged beyond use: drop the page, keep the count. The sample
       // degrades; it does not poison the pipeline.
@@ -159,7 +147,7 @@ Result<SiteSample> BuildSiteSampleResilient(
 std::vector<SiteSample> BuildCorpusResilient(
     const std::vector<DeepWebSite>& fleet,
     const ResilientProbeOptions& options, const FaultOptions& faults,
-    const PageValidationOptions& validation, ProbeStats* total_stats) {
+    ProbeStats* total_stats) {
   std::vector<SiteSample> corpus;
   corpus.reserve(fleet.size());
   for (const DeepWebSite& site : fleet) {
@@ -171,8 +159,8 @@ std::vector<SiteSample> BuildCorpusResilient(
     per_site_faults.seed = faults.seed + site_salt;
     DirectTransport direct(&site);
     FaultInjectingTransport chaotic(&direct, per_site_faults);
-    auto sample = BuildSiteSampleResilient(site.config().site_id, &chaotic,
-                                           per_site, validation);
+    auto sample =
+        BuildSiteSampleResilient(site.config().site_id, &chaotic, per_site);
     AddCounter(options.metrics, "corpus.sites_probed");
     if (sample.ok()) {
       if (total_stats != nullptr) {

@@ -49,7 +49,7 @@ struct SampleDiagnostics {
   int pages_dropped = 0;
   /// Pages kept although their body arrived truncated.
   int pages_truncated_kept = 0;
-  /// Transport-level stats of the probe session (resilient path only).
+  /// Transport-level stats of the probe session.
   ProbeStats probe;
 };
 
@@ -65,60 +65,58 @@ struct SiteSample {
   std::vector<int> PageletPageIndices() const;
 };
 
-/// Parses one query response and attaches its ground-truth labels.
-LabeledPage LabelPage(const QueryResponse& response);
-
-/// Minimum substance a fetched page must have to enter a sample.
-struct PageValidationOptions {
-  /// Bodies below this are rejected outright (a truncated transfer's
-  /// residue, not a page).
-  int min_html_bytes = 16;
-  /// Parsed trees need at least this many tag nodes to be analyzable
-  /// (root and synthesized body count toward it).
-  int min_tag_nodes = 3;
-};
+/// Bodies below this many bytes are rejected outright (a truncated
+/// transfer's residue, not a page).
+inline constexpr int kMinPageBytes = 16;
+/// Parsed trees need at least this many tag nodes to be analyzable (root
+/// and synthesized body count toward it).
+inline constexpr int kMinPageTagNodes = 3;
 
 /// Why LabelPageChecked rejected a fetched page.
 enum class PageDropReason {
   kNone = 0,       ///< page accepted
-  kBodyTooSmall,   ///< body under PageValidationOptions::min_html_bytes
+  kBodyTooSmall,   ///< body under kMinPageBytes
   kParseFailed,    ///< ParseHtmlChecked refused the markup
-  kTreeTooSmall,   ///< parsed tree under min_tag_nodes
+  kTreeTooSmall,   ///< parsed tree under kMinPageTagNodes
 };
 
 /// Stable metric-suffix name ("body_too_small", ...).
 const char* PageDropReasonName(PageDropReason reason);
 
-/// Validating variant of LabelPage: parses through ParseHtmlChecked and
-/// rejects degenerate pages with Status::ParseError instead of emitting an
-/// unusable LabeledPage. A truncated page that still parses into a
-/// substantial tree is accepted (with the damage visible in
-/// `diagnostics`). `reason` (optional) reports why a page was rejected —
-/// the resilient corpus build feeds it into per-reason drop counters.
+/// \brief Parses one query response and attaches its ground-truth labels.
+///
+/// Parses through ParseHtmlChecked and rejects degenerate pages with
+/// Status::ParseError instead of emitting an unusable LabeledPage. A
+/// truncated page that still parses into a substantial tree is accepted
+/// (with the damage visible in `diagnostics`). `reason` (optional) reports
+/// why a page was rejected — the sample build feeds it into per-reason
+/// drop counters. No simulator page is rejected.
 Result<LabeledPage> LabelPageChecked(
     const QueryResponse& response,
-    const PageValidationOptions& validation = {},
     html::ParseDiagnostics* diagnostics = nullptr,
     PageDropReason* reason = nullptr);
 
-/// Probes `site` and labels every collected page.
+/// Probes `site` through a DirectTransport and labels every page:
+/// BuildSiteSampleResilient with nothing to go wrong. A session that
+/// collects nothing yields an empty sample carrying the site id.
 SiteSample BuildSiteSample(const DeepWebSite& site,
                            const ProbeOptions& options);
 
-/// Probes every site in the fleet. The per-site probe seed is varied so
-/// different sites receive different word samples, as a crawler would.
+/// BuildCorpusResilient with no faults: probes every site in the fleet.
+/// The per-site probe seed is varied so different sites receive different
+/// word samples, as a crawler would.
 std::vector<SiteSample> BuildCorpus(const std::vector<DeepWebSite>& fleet,
                                     const ProbeOptions& options);
 
-/// \brief Hostile-transport sample build: probes through `transport` with
-/// the resilient prober and drops unusable pages with counted diagnostics.
+/// \brief Probes through `transport` with ResilientProbeSite, labels every
+/// page with LabelPageChecked, and drops unusable pages with counted
+/// diagnostics.
 ///
 /// Partial loss degrades the sample (diagnostics say by how much); only a
 /// session that yields zero usable pages is an error.
 Result<SiteSample> BuildSiteSampleResilient(
     int site_id, SiteTransport* transport,
-    const ResilientProbeOptions& options,
-    const PageValidationOptions& validation = {}, Clock* clock = nullptr);
+    const ResilientProbeOptions& options);
 
 /// Probes the whole fleet through per-site fault-injecting transports
 /// (fault seed varied per site, like the probe-word seed). Sites whose
@@ -128,7 +126,6 @@ Result<SiteSample> BuildSiteSampleResilient(
 std::vector<SiteSample> BuildCorpusResilient(
     const std::vector<DeepWebSite>& fleet,
     const ResilientProbeOptions& options, const FaultOptions& faults,
-    const PageValidationOptions& validation = {},
     ProbeStats* total_stats = nullptr);
 
 }  // namespace thor::deepweb

@@ -4,12 +4,6 @@
 
 namespace thor::deepweb {
 
-std::vector<std::string> ProbePlan::AllWords() const {
-  std::vector<std::string> all = dictionary_words;
-  all.insert(all.end(), nonsense_words.begin(), nonsense_words.end());
-  return all;
-}
-
 ProbePlan MakeProbePlan(const ProbeOptions& options) {
   Rng rng(options.seed);
   ProbePlan plan;
@@ -21,22 +15,6 @@ ProbePlan MakeProbePlan(const ProbeOptions& options) {
     plan.nonsense_words.push_back(text::MakeNonsenseWord(&rng));
   }
   return plan;
-}
-
-std::vector<QueryResponse> ProbeSite(const DeepWebSite& site,
-                                     const ProbeOptions& options) {
-  ProbePlan plan = MakeProbePlan(options);
-  std::vector<QueryResponse> responses;
-  responses.reserve(plan.dictionary_words.size() +
-                    plan.nonsense_words.size());
-  for (const std::string& word : plan.dictionary_words) {
-    responses.push_back(site.Query(word));
-  }
-  for (const std::string& word : plan.nonsense_words) {
-    responses.push_back(site.Query(word));
-    responses.back().from_nonsense_probe = true;
-  }
-  return responses;
 }
 
 }  // namespace thor::deepweb

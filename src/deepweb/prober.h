@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "src/deepweb/site.h"
-
 namespace thor::deepweb {
 
 /// Stage-1 probing parameters (paper Section 2 / 4: 100 dictionary words
@@ -21,18 +19,11 @@ struct ProbeOptions {
 struct ProbePlan {
   std::vector<std::string> dictionary_words;
   std::vector<std::string> nonsense_words;
-
-  /// All probe words, dictionary first.
-  std::vector<std::string> AllWords() const;
 };
 
 /// Draws a probe plan. Deterministic in the seed; independent of the site.
+/// ResilientProbeSite (resilient_prober.h) fetches it.
 ProbePlan MakeProbePlan(const ProbeOptions& options);
-
-/// \brief Stage 1: probes `site` with single-word queries and collects the
-/// dynamically generated answer pages.
-std::vector<QueryResponse> ProbeSite(const DeepWebSite& site,
-                                     const ProbeOptions& options);
 
 }  // namespace thor::deepweb
 

@@ -3,20 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "src/util/strings.h"
-
 namespace thor::deepweb {
 
 namespace {
-
-uint64_t HashWord(std::string_view word) {
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : word) {
-    h ^= static_cast<unsigned char>(AsciiToLower(c));
-    h *= 1099511628211ULL;
-  }
-  return SplitMix64(&h);
-}
 
 void CountTransportError(TransportError error, ProbeStats* stats) {
   switch (error) {
@@ -174,22 +163,17 @@ Result<ResilientProbeResult> ResilientProbeSite(
   int breaker_waits = 0;
   bool session_abandoned = false;
 
-  auto budget_exhausted = [&]() {
-    return options.retry.total_attempt_budget > 0 &&
-           stats.attempts >= options.retry.total_attempt_budget;
-  };
-
   auto probe_word = [&](const std::string& word, bool nonsense) {
     if (options.deadline.expired()) {
       ++stats.abandoned_words;
       ++stats.deadline_abandoned;
       return;
     }
-    if (session_abandoned || budget_exhausted()) {
+    if (session_abandoned) {
       ++stats.abandoned_words;
       return;
     }
-    Rng jitter_rng(options.retry.jitter_seed ^ HashWord(word));
+    Rng jitter_rng(options.retry.jitter_seed ^ HashKeyword(word));
     int attempt = 0;
     while (true) {
       while (!breaker.AllowRequest()) {
@@ -209,10 +193,6 @@ Result<ResilientProbeResult> ResilientProbeSite(
         double wait = breaker.CooldownRemainingMs();
         clock->SleepMs(wait);
         stats.backoff_wait_ms += wait;
-      }
-      if (budget_exhausted()) {
-        ++stats.abandoned_words;
-        return;
       }
       ++attempt;
       ++stats.attempts;
@@ -275,41 +255,6 @@ Result<ResilientProbeResult> ResilientProbeSite(
                             stats.ToString());
   }
   return result;
-}
-
-Result<QueryResponse> FetchWordWithRetry(SiteTransport* transport,
-                                         std::string_view word,
-                                         const RetryPolicy& retry,
-                                         Clock* clock, ProbeStats* stats) {
-  SimulatedClock local_clock;
-  if (clock == nullptr) clock = &local_clock;
-  Rng jitter_rng(retry.jitter_seed ^ HashWord(word));
-  int attempt = 0;
-  while (true) {
-    ++attempt;
-    ++stats->attempts;
-    FetchResult fetch = transport->Fetch(word);
-    stats->transport_ms += fetch.latency_ms;
-    if (fetch.ok()) {
-      if (fetch.truncated_body) ++stats->truncated_pages;
-      ++stats->pages_collected;
-      return std::move(fetch.response);
-    }
-    CountTransportError(fetch.error, stats);
-    if (!IsTransientError(fetch.error) ||
-        attempt >= retry.max_attempts_per_query) {
-      ++stats->abandoned_words;
-      return Status::Internal(std::string("fetch failed (") +
-                              TransportErrorName(fetch.error) + ") for '" +
-                              std::string(word) + "' after " +
-                              std::to_string(attempt) + " attempt(s)");
-    }
-    ++stats->retries;
-    double delay = BackoffDelayMs(retry.backoff, attempt, &jitter_rng);
-    delay = std::max(delay, fetch.retry_after_ms);
-    clock->SleepMs(delay);
-    stats->backoff_wait_ms += delay;
-  }
 }
 
 }  // namespace thor::deepweb

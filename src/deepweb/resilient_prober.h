@@ -18,9 +18,6 @@ namespace thor::deepweb {
 struct RetryPolicy {
   /// Fetch attempts per query word (1 = no retries).
   int max_attempts_per_query = 4;
-  /// Hard cap on fetch attempts across the whole session (0 = unlimited).
-  /// Once exhausted, remaining words are abandoned without fetching.
-  int total_attempt_budget = 0;
   BackoffPolicy backoff;
   /// Seed of the per-word jitter streams (independent of the word mix).
   uint64_t jitter_seed = 42;
@@ -92,8 +89,8 @@ struct ProbeStats {
   /// Successful fetches whose body arrived truncated (kept; downstream
   /// validation decides whether the page is still usable).
   int truncated_pages = 0;
-  /// Words given up on (retries exhausted, budget spent, or breaker open
-  /// past its patience).
+  /// Words given up on (retries exhausted, a permanent error, or breaker
+  /// open past its patience).
   int abandoned_words = 0;
   /// Subset of abandoned_words dropped because the session deadline (or a
   /// stop request) fired before they could be fetched.
@@ -142,30 +139,21 @@ struct ResilientProbeResult {
   ProbeStats stats;
 };
 
-/// \brief Stage 1 hardened for hostile transports: ProbeSite with retries,
-/// exponential backoff with deterministic jitter, transient-vs-permanent
-/// error classification, and a per-site circuit breaker.
+/// \brief Stage 1: fetches every word of the probe plan through
+/// `transport`, dictionary words first, with retries, exponential backoff
+/// with deterministic jitter, transient-vs-permanent error classification,
+/// and a per-site circuit breaker.
 ///
-/// Deterministic: given the same options and a deterministic transport
-/// (DirectTransport or FaultInjectingTransport), the returned responses
-/// and stats are bit-identical run to run. Errors only when the session
-/// collects zero pages — partial loss is reported through `stats`, not an
-/// error, so the pipeline can degrade gracefully.
+/// The pipeline's only prober: over a DirectTransport no fetch fails, so
+/// it returns one page per planned word. Deterministic: given the same
+/// options and a deterministic transport (DirectTransport or
+/// FaultInjectingTransport), the returned responses and stats are
+/// bit-identical run to run. Errors only when the session collects zero
+/// pages — partial loss is reported through `stats`, not an error, so the
+/// pipeline can degrade gracefully.
 Result<ResilientProbeResult> ResilientProbeSite(
     SiteTransport* transport, const ResilientProbeOptions& options,
     Clock* clock = nullptr);
-
-/// \brief Fetches one query word with retry/backoff and transient/permanent
-/// classification, but no circuit breaker — the building block the
-/// adaptive prober composes per query.
-///
-/// Counts attempts/retries/error kinds into `stats` (required). A null
-/// clock waits on a private simulated clock. Errors carry the final
-/// transport failure once retries are exhausted.
-Result<QueryResponse> FetchWordWithRetry(SiteTransport* transport,
-                                         std::string_view word,
-                                         const RetryPolicy& retry,
-                                         Clock* clock, ProbeStats* stats);
 
 }  // namespace thor::deepweb
 

@@ -6,10 +6,8 @@
 
 namespace thor::deepweb {
 
-namespace {
-
 uint64_t HashKeyword(std::string_view keyword) {
-  // FNV-1a, then a SplitMix64 finalizer for avalanche.
+  // Not FNV-1a's offset basis; see the header before touching it.
   uint64_t h = 1469598103934665603ULL;
   for (char c : keyword) {
     h ^= static_cast<unsigned char>(AsciiToLower(c));
@@ -17,8 +15,6 @@ uint64_t HashKeyword(std::string_view keyword) {
   }
   return SplitMix64(&h);
 }
-
-}  // namespace
 
 const char* PageClassName(PageClass page_class) {
   switch (page_class) {

@@ -22,6 +22,17 @@ inline constexpr int kNumPageClasses = 4;
 
 const char* PageClassName(PageClass page_class);
 
+/// \brief The keyword hash every per-query stream in `deepweb/` derives
+/// from: a site's render and error draws, the fault decisions of
+/// FaultInjectingTransport and the resilient prober's backoff jitter.
+///
+/// FNV-1a-style over the ASCII-lowercased keyword, finalized with
+/// SplitMix64. The basis 1469598103934665603 is one digit short of
+/// FNV-1a's offset basis (14695981039346656037). It stays as it is:
+/// every simulated page, fault and jitter draw — and so every golden and
+/// every EXPERIMENTS.md number — is a function of it.
+uint64_t HashKeyword(std::string_view keyword);
+
 /// Whether pages of this class contain a QA-Pagelet.
 inline bool ClassHasPagelet(PageClass c) {
   return c == PageClass::kMultiMatch || c == PageClass::kSingleMatch;

@@ -2,25 +2,12 @@
 
 #include <algorithm>
 
-#include "src/util/strings.h"
-
 namespace thor::deepweb {
 
 namespace {
 
-uint64_t HashKeywordForFaults(std::string_view keyword) {
-  // FNV-1a over the lowercased keyword, finalized with SplitMix64 — the
-  // same construction DeepWebSite uses for per-query determinism.
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : keyword) {
-    h ^= static_cast<unsigned char>(AsciiToLower(c));
-    h *= 1099511628211ULL;
-  }
-  return SplitMix64(&h);
-}
-
 uint64_t MixFaultSeed(uint64_t seed, std::string_view keyword, int attempt) {
-  uint64_t state = seed ^ HashKeywordForFaults(keyword);
+  uint64_t state = seed ^ HashKeyword(keyword);
   state += 0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(attempt + 1);
   return SplitMix64(&state);
 }

@@ -59,10 +59,9 @@ ChaosRun RunChaosPipeline(double fault_rate, uint64_t fault_seed,
                           int threads) {
   ChaosRun run;
   std::vector<DeepWebSite> fleet = SmallFleet();
-  run.corpus = BuildCorpusResilient(fleet, ChaosProbeOptions(),
-                                    FaultOptions::Uniform(fault_rate,
-                                                          fault_seed),
-                                    /*validation=*/{}, &run.stats);
+  run.corpus = BuildCorpusResilient(
+      fleet, ChaosProbeOptions(), FaultOptions::Uniform(fault_rate, fault_seed),
+      &run.stats);
   ThorOptions thor_options;
   thor_options.SetAllThreads(threads);
   for (const SiteSample& sample : run.corpus) {

@@ -1,5 +1,7 @@
 #include "src/deepweb/corpus.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/deepweb/site_generator.h"
@@ -18,12 +20,30 @@ SiteSample MakeSample() {
 }
 
 TEST(CorpusTest, LabelsEveryProbedPage) {
-  SiteSample sample = MakeSample();
-  EXPECT_EQ(sample.pages.size(), 66u);
-  for (const LabeledPage& page : sample.pages) {
-    EXPECT_FALSE(page.html.empty());
-    EXPECT_GT(page.tree.node_count(), 1);
-    EXPECT_EQ(page.size_bytes, static_cast<int>(page.html.size()));
+  // BuildSiteSample drops every page LabelPageChecked rejects. No
+  // simulator page may be rejected, before or after template drift.
+  FleetOptions fleet_options;
+  fleet_options.num_sites = 20;
+  fleet_options.drift.seed = 17;
+  auto fleet = GenerateSiteFleet(fleet_options);
+  ProbeOptions probe;
+  probe.num_dictionary_words = 60;
+  probe.num_nonsense_words = 6;
+  for (int epoch : {0, 3}) {
+    SetFleetEpoch(&fleet, epoch);
+    for (const DeepWebSite& site : fleet) {
+      SiteSample sample = BuildSiteSample(site, probe);
+      SCOPED_TRACE("site " + std::to_string(site.config().site_id) +
+                   " epoch " + std::to_string(epoch));
+      EXPECT_EQ(sample.site_id, site.config().site_id);
+      EXPECT_EQ(sample.pages.size(), 66u);
+      EXPECT_EQ(sample.diagnostics.pages_dropped, 0);
+      for (const LabeledPage& page : sample.pages) {
+        EXPECT_FALSE(page.html.empty());
+        EXPECT_GT(page.tree.node_count(), 1);
+        EXPECT_EQ(page.size_bytes, static_cast<int>(page.html.size()));
+      }
+    }
   }
 }
 

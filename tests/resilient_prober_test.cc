@@ -152,70 +152,6 @@ TEST(CircuitBreakerTest, StateNamesAreStable) {
 }
 
 // ---------------------------------------------------------------------------
-// FetchWordWithRetry.
-// ---------------------------------------------------------------------------
-
-TEST(FetchWordWithRetryTest, RetriesTransientFailuresUntilSuccess) {
-  ScriptedTransport transport;
-  transport.FailNext("guitar", TransportError::kTimeout, 2);
-  SimulatedClock clock;
-  ProbeStats stats;
-  RetryPolicy retry;
-  retry.max_attempts_per_query = 4;
-  auto page = FetchWordWithRetry(&transport, "guitar", retry, &clock, &stats);
-  ASSERT_TRUE(page.ok());
-  EXPECT_EQ(page->query, "guitar");
-  EXPECT_EQ(stats.attempts, 3);
-  EXPECT_EQ(stats.retries, 2);
-  EXPECT_EQ(stats.timeouts, 2);
-  EXPECT_GT(stats.backoff_wait_ms, 0.0);
-}
-
-TEST(FetchWordWithRetryTest, PermanentErrorFailsWithoutRetry) {
-  ScriptedTransport transport;
-  transport.FailNext("guitar", TransportError::kPermanent, 1);
-  SimulatedClock clock;
-  ProbeStats stats;
-  auto page = FetchWordWithRetry(&transport, "guitar", RetryPolicy{}, &clock,
-                                 &stats);
-  EXPECT_FALSE(page.ok());
-  EXPECT_EQ(stats.attempts, 1);
-  EXPECT_EQ(stats.retries, 0);
-  EXPECT_EQ(stats.permanent_failures, 1);
-  EXPECT_EQ(transport.fetches(), 1);
-}
-
-TEST(FetchWordWithRetryTest, GivesUpAfterMaxAttempts) {
-  ScriptedTransport transport;
-  transport.FailNext("guitar", TransportError::kConnectionReset, 100);
-  SimulatedClock clock;
-  ProbeStats stats;
-  RetryPolicy retry;
-  retry.max_attempts_per_query = 3;
-  auto page = FetchWordWithRetry(&transport, "guitar", retry, &clock, &stats);
-  EXPECT_FALSE(page.ok());
-  EXPECT_EQ(stats.attempts, 3);
-  EXPECT_EQ(stats.connection_resets, 3);
-  EXPECT_EQ(transport.fetches(), 3);
-}
-
-TEST(FetchWordWithRetryTest, HonorsServerRetryAfterHint) {
-  ScriptedTransport transport;
-  transport.FailNext("guitar", TransportError::kRateLimited, 1,
-                     /*retry_after_ms=*/4000.0);
-  SimulatedClock clock;
-  ProbeStats stats;
-  auto page = FetchWordWithRetry(&transport, "guitar", RetryPolicy{}, &clock,
-                                 &stats);
-  ASSERT_TRUE(page.ok());
-  EXPECT_EQ(stats.rate_limited, 1);
-  // The wait must be at least the server's hint, which dwarfs the
-  // first-attempt backoff delay.
-  EXPECT_GE(stats.backoff_wait_ms, 4000.0);
-  EXPECT_GE(clock.NowMs(), 4000.0);
-}
-
-// ---------------------------------------------------------------------------
 // ResilientProbeSite.
 // ---------------------------------------------------------------------------
 
@@ -241,10 +177,30 @@ TEST(ResilientProbeSiteTest, FlakyWordsAreRetriedAndCollected) {
   auto result = ResilientProbeSite(&transport, options);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->responses.size(), 4u);
+  EXPECT_EQ(result->stats.attempts, 7);
   EXPECT_EQ(result->stats.retries, 3);
   EXPECT_EQ(result->stats.timeouts, 2);
   EXPECT_EQ(result->stats.server_errors, 1);
   EXPECT_EQ(result->stats.abandoned_words, 0);
+  // Every retry waited out its backoff first.
+  EXPECT_GT(result->stats.backoff_wait_ms, 0.0);
+}
+
+TEST(ResilientProbeSiteTest, HonorsServerRetryAfterHint) {
+  ResilientProbeOptions options = SmallOptions(1);
+  ProbePlan plan = MakeProbePlan(options.plan);
+  ScriptedTransport transport;
+  transport.FailNext(plan.dictionary_words[0], TransportError::kRateLimited, 1,
+                     /*retry_after_ms=*/4000.0);
+  SimulatedClock clock;
+  auto result = ResilientProbeSite(&transport, options, &clock);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->responses.size(), 1u);
+  EXPECT_EQ(result->stats.rate_limited, 1);
+  // The wait must be at least the server's hint, which dwarfs the
+  // first-attempt backoff delay.
+  EXPECT_GE(result->stats.backoff_wait_ms, 4000.0);
+  EXPECT_GE(clock.NowMs(), 4000.0);
 }
 
 TEST(ResilientProbeSiteTest, HopelessWordIsAbandonedOthersSurvive) {
@@ -261,6 +217,8 @@ TEST(ResilientProbeSiteTest, HopelessWordIsAbandonedOthersSurvive) {
   EXPECT_EQ(result->responses.size(), 3u);
   EXPECT_EQ(result->stats.abandoned_words, 1);
   EXPECT_EQ(result->stats.timeouts, 3);
+  // Three attempts at the hopeless word, one at each of the others.
+  EXPECT_EQ(transport.fetches(), 6);
 }
 
 TEST(ResilientProbeSiteTest, PermanentErrorDoesNotChargeBreaker) {
@@ -276,6 +234,8 @@ TEST(ResilientProbeSiteTest, PermanentErrorDoesNotChargeBreaker) {
   // but the breaker never trips because 4xx is a healthy server answering.
   EXPECT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("4xx=6"), std::string::npos);
+  // A 4xx is final: one fetch per word, never a retry.
+  EXPECT_EQ(transport.fetches(), 6);
 }
 
 TEST(ResilientProbeSiteTest, BreakerTripsOnFailureStorm) {
@@ -321,6 +281,9 @@ TEST(ResilientProbeSiteTest, HalfOpenFailureRetripsAndMetricCounts) {
   EXPECT_EQ(result->stats.breaker_rejections, 2);
   EXPECT_EQ(result->responses.size(), 4u);
   EXPECT_EQ(result->stats.abandoned_words, 0);
+  // Every scripted reset was fetched and counted as a reset.
+  EXPECT_EQ(result->stats.connection_resets, 3);
+  EXPECT_EQ(result->stats.attempts, 7);
   // Two cooldowns were waited out in full.
   EXPECT_GE(result->stats.backoff_wait_ms, 2 * 10000.0);
 
@@ -328,22 +291,12 @@ TEST(ResilientProbeSiteTest, HalfOpenFailureRetripsAndMetricCounts) {
   // across sessions sharing the registry.
   EXPECT_EQ(registry.GetCounter("probe.breaker_trips")->value(), 2);
   EXPECT_EQ(registry.GetCounter("probe.breaker_rejections")->value(), 2);
+  EXPECT_EQ(registry.GetCounter("probe.connection_resets")->value(), 3);
   ScriptedTransport transport2;
   transport2.FailNext(plan.dictionary_words[0],
                       TransportError::kConnectionReset, 3);
   ASSERT_TRUE(ResilientProbeSite(&transport2, options).ok());
   EXPECT_EQ(registry.GetCounter("probe.breaker_trips")->value(), 4);
-}
-
-TEST(ResilientProbeSiteTest, AttemptBudgetAbandonsTail) {
-  ResilientProbeOptions options = SmallOptions(8);
-  options.retry.total_attempt_budget = 3;
-  ScriptedTransport transport;
-  auto result = ResilientProbeSite(&transport, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->responses.size(), 3u);
-  EXPECT_EQ(result->stats.abandoned_words, 5);
-  EXPECT_EQ(transport.fetches(), 3);
 }
 
 TEST(ResilientProbeSiteTest, StatsAddAccumulates) {

@@ -203,8 +203,9 @@ TEST(SiteTest, SloppySitesStillCarryMarkers) {
     if (!ClassHasPagelet(response.page_class)) continue;
     EXPECT_EQ(response.html.find("</li>"), std::string::npos);
     EXPECT_EQ(response.html.find("</td>"), std::string::npos);
-    LabeledPage page = LabelPage(response);
-    EXPECT_NE(page.pagelet_node, html::kInvalidNode);
+    auto page = LabelPageChecked(response);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    EXPECT_NE(page->pagelet_node, html::kInvalidNode);
   }
   EXPECT_TRUE(found_sloppy);
 }

@@ -11,6 +11,13 @@
 namespace thor::core {
 namespace {
 
+/// Labels one fresh response; no simulator page fails validation.
+deepweb::LabeledPage Label(const deepweb::QueryResponse& response) {
+  auto page = deepweb::LabelPageChecked(response);
+  EXPECT_TRUE(page.ok()) << page.status().ToString();
+  return page.ok() ? std::move(*page) : deepweb::LabeledPage{};
+}
+
 struct Fixture {
   deepweb::DeepWebSite site;
   deepweb::SiteSample train;
@@ -59,7 +66,7 @@ TEST(TemplateRegistryTest, LocatesPageletsOnUnseenAnswerPages) {
   int located_correctly = 0;
   for (const char* query : fresh) {
     auto response = fixture.site.Query(query);
-    deepweb::LabeledPage page = deepweb::LabelPage(response);
+    deepweb::LabeledPage page = Label(response);
     if (page.pagelet_node == html::kInvalidNode) continue;
     ++answers;
     html::NodeId located = fixture.registry.Locate(page.tree);
@@ -79,7 +86,7 @@ TEST(TemplateRegistryTest, RejectsNoMatchPages) {
   for (const char* query : nonsense) {
     auto response = fixture.site.Query(query);
     if (response.page_class != deepweb::PageClass::kNoMatch) continue;
-    deepweb::LabeledPage page = deepweb::LabelPage(response);
+    deepweb::LabeledPage page = Label(response);
     ++no_match_pages;
     if (fixture.registry.Locate(page.tree) != html::kInvalidNode) {
       ++false_positives;
@@ -95,7 +102,7 @@ TEST(TemplateRegistryTest, ExtractProducesObjects) {
   if (response.page_class != deepweb::PageClass::kMultiMatch) {
     GTEST_SKIP() << "category query did not multi-match";
   }
-  deepweb::LabeledPage page = deepweb::LabelPage(response);
+  deepweb::LabeledPage page = Label(response);
   auto extraction = fixture.registry.Extract(page.tree);
   ASSERT_NE(extraction.pagelet, html::kInvalidNode);
   EXPECT_GE(extraction.objects.size(), 2u);

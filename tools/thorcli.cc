@@ -15,6 +15,7 @@
 #include <cerrno>
 #include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -80,9 +81,9 @@ int Usage() {
                "\n"
                "eval chaos mode: --fault-rate injects transport faults "
                "(timeouts, resets,\n5xx, 429, truncation, garbling) at "
-               "overall rate R in [0,1]; --retry-budget\ncaps fetch "
-               "attempts per query; --seed makes the chaos run "
-               "reproducible.\n"
+               "overall rate R in [0,1]; --retry-budget\nN >= 1 caps "
+               "fetch attempts per probe word (default 4); --seed makes the\n"
+               "chaos run reproducible.\n"
                "\n"
                "eval observability: --trace writes a Chrome trace-event "
                "JSON (open in\nabout:tracing or ui.perfetto.dev) with one "
@@ -461,6 +462,16 @@ int RunExtractFromStore(int argc, char** argv) {
   return 0;
 }
 
+/// The value of the flag at argv[*i]; advances *i past it. A flag given
+/// without a value is a usage error (exit 2), as in thord.
+const char* FlagValue(int argc, char** argv, int* i) {
+  if (*i + 1 >= argc) {
+    std::fprintf(stderr, "%s needs a value\n", argv[*i]);
+    std::exit(2);
+  }
+  return argv[++*i];
+}
+
 // --- probe -------------------------------------------------------------
 
 int RunProbe(int argc, char** argv) {
@@ -475,20 +486,23 @@ int RunProbe(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--http")) {
       use_http = true;
-    } else if (!std::strcmp(argv[i], "--sites") && i + 1 < argc) {
-      num_sites = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--out") && i + 1 < argc) {
-      out_dir = argv[++i];
-    } else if (!std::strcmp(argv[i], "--queries") && i + 1 < argc) {
-      num_queries = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--drift-seed") && i + 1 < argc) {
-      drift_seed = static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else if (!std::strcmp(argv[i], "--drift-rate") && i + 1 < argc) {
-      drift_rate = std::atof(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--drift-ab") && i + 1 < argc) {
-      drift_ab = std::atof(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--epoch") && i + 1 < argc) {
-      epoch = std::atoi(argv[++i]);
+    } else if (!std::strcmp(argv[i], "--sites")) {
+      num_sites = std::atoi(FlagValue(argc, argv, &i));
+    } else if (!std::strcmp(argv[i], "--out")) {
+      out_dir = FlagValue(argc, argv, &i);
+    } else if (!std::strcmp(argv[i], "--queries")) {
+      num_queries = std::atoi(FlagValue(argc, argv, &i));
+    } else if (!std::strcmp(argv[i], "--drift-seed")) {
+      drift_seed =
+          static_cast<uint64_t>(std::atoll(FlagValue(argc, argv, &i)));
+    } else if (!std::strcmp(argv[i], "--drift-rate")) {
+      drift_rate = std::atof(FlagValue(argc, argv, &i));
+    } else if (!std::strcmp(argv[i], "--drift-ab")) {
+      drift_ab = std::atof(FlagValue(argc, argv, &i));
+    } else if (!std::strcmp(argv[i], "--epoch")) {
+      epoch = std::atoi(FlagValue(argc, argv, &i));
+    } else {
+      return Usage();
     }
   }
   deepweb::FleetOptions fleet_options;
@@ -512,8 +526,8 @@ int RunProbe(int argc, char** argv) {
     return 1;
   }
   // --http: serve the fleet over loopback HTTP and probe it through the
-  // pooled client + resilient prober, exercising the same socket stack a
-  // real crawl would. Same pages, same manifest.
+  // pooled client, exercising the same socket stack a real crawl would.
+  // Same prober, same pages, same manifest.
   std::unique_ptr<net::SimSiteServer> sim;
   std::unique_ptr<net::HttpClient> client;
   uint16_t sim_port = 0;
@@ -540,24 +554,22 @@ int RunProbe(int argc, char** argv) {
     // nonsense words) so `extract` can veto the no-match cluster exactly
     // as the in-process pipeline does.
     std::ofstream manifest(site_dir / "manifest.tsv");
-    std::vector<deepweb::QueryResponse> responses;
+    std::unique_ptr<deepweb::SiteTransport> transport;
     if (use_http) {
-      deepweb::HttpTransport transport(client.get(), "127.0.0.1", sim_port,
-                                       site.config().site_id);
-      deepweb::ResilientProbeOptions resilient;
-      resilient.plan = per_site;
-      auto probed = deepweb::ResilientProbeSite(&transport, resilient);
-      if (!probed.ok()) {
-        std::fprintf(stderr, "probe over http failed for site %d: %s\n",
-                     site.config().site_id,
-                     probed.status().ToString().c_str());
-        return 1;
-      }
-      responses = std::move(probed->responses);
+      transport = std::make_unique<deepweb::HttpTransport>(
+          client.get(), "127.0.0.1", sim_port, site.config().site_id);
     } else {
-      responses = deepweb::ProbeSite(site, per_site);
+      transport = std::make_unique<deepweb::DirectTransport>(&site);
     }
-    for (const auto& response : responses) {
+    deepweb::ResilientProbeOptions resilient;
+    resilient.plan = per_site;
+    auto probed = deepweb::ResilientProbeSite(transport.get(), resilient);
+    if (!probed.ok()) {
+      std::fprintf(stderr, "probe failed for site %d: %s\n",
+                   site.config().site_id, probed.status().ToString().c_str());
+      return 1;
+    }
+    for (const auto& response : probed->responses) {
       std::string name = "page" + std::to_string(page++) + ".html";
       std::ofstream out(site_dir / name);
       out << "<!-- url: " << response.url << " -->\n" << response.html;
@@ -801,22 +813,25 @@ int RunEval(int argc, char** argv) {
   std::string trace_file;
   bool print_metrics = false;
   for (int i = 0; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--sites") && i + 1 < argc) {
-      num_sites = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--fault-rate") && i + 1 < argc) {
-      fault_rate = std::atof(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--retry-budget") && i + 1 < argc) {
-      retry_budget = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--deadline-ms") && i + 1 < argc) {
-      deadline_ms = std::atof(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
-      seed = static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else if (!std::strcmp(argv[i], "--trace") && i + 1 < argc) {
-      trace_file = argv[++i];
+    if (!std::strcmp(argv[i], "--sites")) {
+      num_sites = std::atoi(FlagValue(argc, argv, &i));
+    } else if (!std::strcmp(argv[i], "--fault-rate")) {
+      fault_rate = std::atof(FlagValue(argc, argv, &i));
+    } else if (!std::strcmp(argv[i], "--retry-budget")) {
+      retry_budget = std::atoi(FlagValue(argc, argv, &i));
+    } else if (!std::strcmp(argv[i], "--deadline-ms")) {
+      deadline_ms = std::atof(FlagValue(argc, argv, &i));
+    } else if (!std::strcmp(argv[i], "--seed")) {
+      seed = static_cast<uint64_t>(std::atoll(FlagValue(argc, argv, &i)));
+    } else if (!std::strcmp(argv[i], "--trace")) {
+      trace_file = FlagValue(argc, argv, &i);
     } else if (!std::strcmp(argv[i], "--metrics")) {
       print_metrics = true;
+    } else {
+      return Usage();
     }
   }
+  if (retry_budget < 1) return Usage();
   // One registry and tracer span the whole run — probing included — so the
   // trace shows where the time went across every site and stage.
   MetricsRegistry registry;
@@ -827,25 +842,20 @@ int RunEval(int argc, char** argv) {
   std::vector<deepweb::SiteSample> corpus;
   {
     Tracer::Scope probe_span(&tracer, "probe_corpus");
+    deepweb::ResilientProbeOptions probe;
+    probe.plan.seed = seed;
+    probe.retry.max_attempts_per_query = retry_budget;
+    probe.metrics = &registry;
+    deepweb::ProbeStats stats;
+    corpus = deepweb::BuildCorpusResilient(
+        fleet, probe, deepweb::FaultOptions::Uniform(fault_rate, seed),
+        &stats);
     if (fault_rate > 0.0) {
-      deepweb::ResilientProbeOptions probe;
-      probe.plan.seed = seed;
-      probe.retry.max_attempts_per_query = retry_budget;
-      probe.metrics = &registry;
-      deepweb::FaultOptions faults =
-          deepweb::FaultOptions::Uniform(fault_rate, seed);
-      deepweb::ProbeStats stats;
-      corpus =
-          deepweb::BuildCorpusResilient(fleet, probe, faults, {}, &stats);
       std::printf(
           "chaos probe (fault-rate %.2f, retry budget %d, seed %llu):\n"
           "  %s\n",
           fault_rate, retry_budget, static_cast<unsigned long long>(seed),
           stats.ToString().c_str());
-    } else {
-      deepweb::ProbeOptions probe;
-      probe.seed = seed;
-      corpus = deepweb::BuildCorpus(fleet, probe);
     }
   }
   core::PrecisionRecall total;

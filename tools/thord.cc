@@ -91,8 +91,8 @@ int Usage() {
       "sites\n"
       "  --fault-rate R          inject transport faults at rate R into "
       "relearn probes\n"
-      "  --retry-budget N        cap fetch attempts per relearn probe "
-      "session\n"
+      "  --retry-budget N        fetch attempts per relearn probe word, "
+      "N >= 1 (default 4)\n"
       "  --probe-queries N       probe words per relearn sample "
       "(default 40)\n"
       "  --relearn-window N      requests per staleness window "
@@ -151,7 +151,7 @@ struct DaemonOptions {
   size_t max_request_bytes = 4u << 20;
   int fleet = 0;
   double fault_rate = 0.0;
-  int retry_budget = 0;
+  int retry_budget = 4;
   int probe_queries = 40;
   int relearn_window = 20;
   double relearn_miss_rate = 0.5;
@@ -277,7 +277,7 @@ int Main(int argc, char** argv) {
     }
   }
   if (options.store_dir.empty() || options.batch < 1 ||
-      options.relearn_workers < 1) {
+      options.retry_budget < 1 || options.relearn_workers < 1) {
     return Usage();
   }
 
@@ -329,28 +329,23 @@ int Main(int argc, char** argv) {
   service_options.metrics = &metrics;
 
   // With --fleet, sites named "site<K>" can be relearned by probing the
-  // simulated fleet — the stand-in for re-crawling a live source. With
-  // --fault-rate the probe runs through a fault-injecting transport and
-  // the resilient prober (retries, backoff, circuit breaker), so relearn
-  // inherits the same hostile-transport degradation as batch evaluation.
-  // With --drift-seed the fleet redesigns itself on a deterministic
-  // schedule; a relearn probe renders the epoch the request stream was at
-  // when the job was enqueued (derived from the batch ticket, never wall
-  // time, so the response stream stays reproducible).
+  // simulated fleet — the stand-in for re-crawling a live source. The
+  // probe runs through a fault-injecting transport (a pass-through at the
+  // default --fault-rate 0) and the resilient prober (retries, backoff,
+  // circuit breaker), so relearn inherits the same hostile-transport
+  // degradation as batch evaluation. With --drift-seed the fleet
+  // redesigns itself on a deterministic schedule; a relearn probe renders
+  // the epoch the request stream was at when the job was enqueued
+  // (derived from the batch ticket, never wall time, so the response
+  // stream stays reproducible).
   std::vector<deepweb::DeepWebSite> fleet;
   auto probe_fleet = [&options, &fleet,
                       &metrics](int id) -> std::vector<core::Page> {
     deepweb::DeepWebSite& member = fleet[static_cast<size_t>(id)];
-    if (options.fault_rate <= 0.0 && options.retry_budget <= 0) {
-      deepweb::ProbeOptions probe;
-      probe.num_dictionary_words = options.probe_queries;
-      probe.seed = options.seed + static_cast<uint64_t>(id);
-      return core::ToPages(deepweb::BuildSiteSample(member, probe));
-    }
     deepweb::ResilientProbeOptions probe;
     probe.plan.num_dictionary_words = options.probe_queries;
     probe.plan.seed = options.seed + static_cast<uint64_t>(id);
-    probe.retry.total_attempt_budget = options.retry_budget;
+    probe.retry.max_attempts_per_query = options.retry_budget;
     probe.metrics = &metrics;
     deepweb::FaultOptions faults = deepweb::FaultOptions::Uniform(
         options.fault_rate,
