@@ -1,15 +1,56 @@
 #include "src/core/cluster_ranking.h"
 
 #include <algorithm>
+#include <cstdint>
 
-#include "src/core/signature_builder.h"
+#include "src/text/term_tokenizer.h"
 
 namespace thor::core {
+
+namespace {
+
+// DistinctTermCount for the pages of one RankClusters call: one analyzer
+// stems each distinct token once, and a page's terms are counted by id.
+// Content nodes hold whitespace-collapsed text and SubtreeText joins them
+// with one space, so tokenising node by node finds the same terms; only
+// childless tag nodes are ever detached, so node storage holds exactly the
+// content nodes the root reaches.
+class DistinctTermCounter {
+ public:
+  int Count(const html::TagTree& tree) {
+    ids_.clear();
+    for (html::NodeId id = 0; id < tree.node_count(); ++id) {
+      const html::Node& n = tree.node(id);
+      if (n.kind == html::NodeKind::kContent) {
+        analyzer_.AppendTermIds(n.text, &ids_);
+      }
+    }
+    seen_on_.resize(static_cast<size_t>(analyzer_.num_terms()), 0);
+    ++page_;
+    int distinct = 0;
+    for (int32_t term : ids_) {
+      int& seen = seen_on_[static_cast<size_t>(term)];
+      if (seen == page_) continue;
+      seen = page_;
+      ++distinct;
+    }
+    return distinct;
+  }
+
+ private:
+  text::TermAnalyzer analyzer_;
+  std::vector<int32_t> ids_;
+  std::vector<int> seen_on_;  // term id -> last page (by page_) it was on
+  int page_ = 0;
+};
+
+}  // namespace
 
 std::vector<RankedCluster> RankClusters(const std::vector<Page>& pages,
                                         const std::vector<int>& assignment,
                                         int k,
                                         const ClusterRankOptions& options) {
+  DistinctTermCounter distinct_terms;
   std::vector<RankedCluster> ranked;
   for (int c = 0; c < k; ++c) {
     RankedCluster rc;
@@ -17,7 +58,7 @@ std::vector<RankedCluster> RankClusters(const std::vector<Page>& pages,
     for (size_t i = 0; i < pages.size() && i < assignment.size(); ++i) {
       if (assignment[i] != c) continue;
       ++rc.num_pages;
-      rc.avg_distinct_terms += DistinctTermCount(pages[i].tree);
+      rc.avg_distinct_terms += distinct_terms.Count(pages[i].tree);
       rc.avg_max_fanout += pages[i].tree.MaxFanout();
       rc.avg_page_size += pages[i].size_bytes;
     }

@@ -1,7 +1,9 @@
 #include "src/core/object_partition.h"
 
 #include <algorithm>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "src/core/common_subtrees.h"
 
@@ -35,6 +37,25 @@ int MatchPeriod(const std::vector<html::TagId>& tags, int period,
     if (tags[i] != tags[i - static_cast<size_t>(period)]) return 0;
   }
   return static_cast<int>(tags.size()) / period;
+}
+
+// The text of SubtreeText(node) before its first space, without building
+// that text. Content nodes hold whitespace-collapsed text and SubtreeText
+// joins the non-empty ones with one space, so this is the first non-empty
+// content node in preorder, up to its first space.
+std::string_view FirstToken(const html::TagTree& tree, html::NodeId node) {
+  std::vector<html::NodeId> stack = {node};
+  while (!stack.empty()) {
+    const html::Node& n = tree.node(stack.back());
+    stack.pop_back();
+    if (n.kind == html::NodeKind::kContent) {
+      if (n.text.empty()) continue;
+      std::string_view text = n.text;
+      return text.substr(0, text.find(' '));
+    }
+    stack.insert(stack.end(), n.children.rbegin(), n.children.rend());
+  }
+  return {};
 }
 
 }  // namespace
@@ -120,32 +141,30 @@ bool CollapseFieldRowObjects(std::vector<PageObjects>* pages,
                              double stable_fraction_threshold,
                              int min_pages) {
   if (static_cast<int>(pages->size()) < min_pages) return false;
-  auto first_token = [](const html::TagTree& tree, html::NodeId node) {
-    std::string text = tree.SubtreeText(node);
-    return text.substr(0, text.find(' '));
-  };
-  std::unordered_map<std::string, int> token_page_counts;
+  // Each object's leading token, per page with at least two objects (empty
+  // for the other pages).
+  std::vector<std::vector<std::string_view>> tokens(pages->size());
+  std::unordered_map<std::string_view, int> token_page_counts;
   int pages_with_objects = 0;
-  for (const PageObjects& page : *pages) {
+  for (size_t p = 0; p < pages->size(); ++p) {
+    const PageObjects& page = (*pages)[p];
     if (page.objects.size() < 2) continue;
     ++pages_with_objects;
-    std::unordered_map<std::string, bool> seen_on_page;
+    std::unordered_set<std::string_view> seen_on_page;
     for (const ObjectSpan& span : page.objects) {
-      std::string token = first_token(*page.tree, span.root());
-      if (!token.empty()) seen_on_page[token] = true;
+      std::string_view token = FirstToken(*page.tree, span.root());
+      tokens[p].push_back(token);
+      if (!token.empty()) seen_on_page.insert(token);
     }
-    for (const auto& [token, present] : seen_on_page) {
-      if (present) ++token_page_counts[token];
-    }
+    for (std::string_view token : seen_on_page) ++token_page_counts[token];
   }
   if (pages_with_objects < min_pages) return false;
   double stable_fraction = 0.0;
   int checked = 0;
-  for (const PageObjects& page : *pages) {
-    if (page.objects.size() < 2) continue;
+  for (const std::vector<std::string_view>& page_tokens : tokens) {
+    if (page_tokens.empty()) continue;
     int stable = 0;
-    for (const ObjectSpan& span : page.objects) {
-      std::string token = first_token(*page.tree, span.root());
+    for (std::string_view token : page_tokens) {
       auto it = token_page_counts.find(token);
       // A token is "static" when it leads an object on >= 80% of pages.
       if (it != token_page_counts.end() &&
@@ -153,7 +172,7 @@ bool CollapseFieldRowObjects(std::vector<PageObjects>* pages,
         ++stable;
       }
     }
-    stable_fraction += static_cast<double>(stable) / page.objects.size();
+    stable_fraction += static_cast<double>(stable) / page_tokens.size();
     ++checked;
   }
   stable_fraction /= checked;

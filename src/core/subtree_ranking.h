@@ -19,8 +19,9 @@ struct SubtreeRankOptions {
   double prune_threshold = 0.5;
   text::TermOptions terms;
   /// Threads for scoring sets concurrently (0 = process default,
-  /// 1 = serial). Each set builds its own vocabulary and TFIDF model, so
-  /// sets are independent and the ranking is identical at every count.
+  /// 1 = serial). Each set numbers its own terms and fits its own TFIDF
+  /// model, so sets are independent and the ranking is identical at every
+  /// count.
   int threads = 0;
 };
 

@@ -54,9 +54,17 @@ namespace {
 /// residue of a truncated/garbled fetch (root alone, or root+body with
 /// nothing in it) is not.
 bool PageUsable(const Page& page, int min_page_nodes) {
+  const html::TagTree& tree = page.tree;
   int tag_nodes = 0;
-  for (html::NodeId id : page.tree.Preorder()) {
-    if (page.tree.node(id).kind == html::NodeKind::kTag) ++tag_nodes;
+  for (html::NodeId id = 0;
+       id < tree.node_count() && tag_nodes < min_page_nodes; ++id) {
+    const html::Node& n = tree.node(id);
+    // A detached node (parent kInvalidNode, e.g. an empty inline tag Tidy
+    // dropped) is not part of the page, as in FinalizeDerived.
+    if (n.kind == html::NodeKind::kTag &&
+        (id == tree.root() || n.parent != html::kInvalidNode)) {
+      ++tag_nodes;
+    }
   }
   return tag_nodes >= min_page_nodes;
 }

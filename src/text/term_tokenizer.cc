@@ -31,15 +31,10 @@ const std::unordered_set<std::string_view>& StopwordSet() {
   return set;
 }
 
-}  // namespace
-
-bool IsStopword(std::string_view word) {
-  return StopwordSet().count(word) > 0;
-}
-
-std::vector<std::string> ExtractTerms(std::string_view content,
-                                      const TermOptions& options) {
-  std::vector<std::string> terms;
+// Calls `on_token(lowered, has_alpha)` for each maximal ASCII alphanumeric
+// run of `content`, in order, with the run lowercased.
+template <typename OnToken>
+void ForEachToken(std::string_view content, OnToken&& on_token) {
   size_t i = 0;
   while (i < content.size()) {
     if (!IsAsciiAlnum(content[i])) {
@@ -52,13 +47,34 @@ std::vector<std::string> ExtractTerms(std::string_view content,
       if (IsAsciiAlpha(content[i])) has_alpha = true;
       ++i;
     }
-    if (!has_alpha && !options.keep_numbers) continue;
-    std::string term = AsciiLower(content.substr(start, i - start));
-    if (options.remove_stopwords && IsStopword(term)) continue;
-    if (options.stem && has_alpha) term = PorterStem(term);
-    if (static_cast<int>(term.size()) < options.min_length) continue;
-    terms.push_back(std::move(term));
+    on_token(AsciiLower(content.substr(start, i - start)), has_alpha);
   }
+}
+
+// Turns a lowercased token into its term in place. Returns false when the
+// options drop the token.
+bool NormalizeToken(std::string* term, bool has_alpha,
+                    const TermOptions& options) {
+  if (!has_alpha && !options.keep_numbers) return false;
+  if (options.remove_stopwords && IsStopword(*term)) return false;
+  if (options.stem && has_alpha) *term = PorterStem(*term);
+  return static_cast<int>(term->size()) >= options.min_length;
+}
+
+}  // namespace
+
+bool IsStopword(std::string_view word) {
+  return StopwordSet().count(word) > 0;
+}
+
+std::vector<std::string> ExtractTerms(std::string_view content,
+                                      const TermOptions& options) {
+  std::vector<std::string> terms;
+  ForEachToken(content, [&](std::string term, bool has_alpha) {
+    if (NormalizeToken(&term, has_alpha, options)) {
+      terms.push_back(std::move(term));
+    }
+  });
   return terms;
 }
 
@@ -67,6 +83,25 @@ int CountDistinctTerms(std::string_view content, const TermOptions& options) {
   std::sort(terms.begin(), terms.end());
   terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
   return static_cast<int>(terms.size());
+}
+
+TermAnalyzer::TermAnalyzer(const TermOptions& options) : options_(options) {}
+
+void TermAnalyzer::AppendTermIds(std::string_view content,
+                                 std::vector<int32_t>* ids) {
+  ForEachToken(content, [&](std::string lowered, bool has_alpha) {
+    auto it = token_ids_.find(lowered);
+    if (it == token_ids_.end()) {
+      int32_t id = -1;
+      std::string term = lowered;
+      if (NormalizeToken(&term, has_alpha, options_)) {
+        int32_t next = static_cast<int32_t>(term_ids_.size());
+        id = term_ids_.try_emplace(std::move(term), next).first->second;
+      }
+      it = token_ids_.emplace(std::move(lowered), id).first;
+    }
+    if (it->second >= 0) ids->push_back(it->second);
+  });
 }
 
 }  // namespace thor::text

@@ -1,8 +1,10 @@
 #ifndef THOR_TEXT_TERM_TOKENIZER_H_
 #define THOR_TEXT_TERM_TOKENIZER_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace thor::text {
@@ -32,6 +34,33 @@ std::vector<std::string> ExtractTerms(std::string_view content,
 /// Number of *distinct* terms in `content` (cluster-ranking feature).
 int CountDistinctTerms(std::string_view content,
                        const TermOptions& options = {});
+
+/// \brief `ExtractTerms` with a memo, returning dense term ids instead of
+/// strings.
+///
+/// Ids start at 0 and are assigned in first-seen order; two ids are equal
+/// exactly when their terms are. Each distinct lowercased token is
+/// stopword-checked and stemmed once, and a dropped token is remembered as
+/// dropped, so a token seen again costs one hash lookup. The memo grows with
+/// every distinct token seen: scope an analyzer to one call, never to the
+/// process. Not thread-safe.
+class TermAnalyzer {
+ public:
+  explicit TermAnalyzer(const TermOptions& options = {});
+
+  /// Appends the id of each term `ExtractTerms(content, options)` returns,
+  /// in the same order.
+  void AppendTermIds(std::string_view content, std::vector<int32_t>* ids);
+
+  /// Number of distinct terms seen so far; every id is below it.
+  int num_terms() const { return static_cast<int>(term_ids_.size()); }
+
+ private:
+  TermOptions options_;
+  // Lowercased token -> term id, or -1 when the options drop the token.
+  std::unordered_map<std::string, int32_t> token_ids_;
+  std::unordered_map<std::string, int32_t> term_ids_;
+};
 
 }  // namespace thor::text
 

@@ -2,13 +2,103 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "src/core/evaluation.h"
 #include "src/core/page_clustering.h"
+#include "src/core/signature_builder.h"
 #include "src/deepweb/corpus.h"
 #include "src/deepweb/site_generator.h"
 
 namespace thor::core {
 namespace {
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// Test-local copy of RankClusters before term analysis was memoized: each
+// page's DistinctTermCount (tokenising its joined SubtreeText), averaged in
+// page order.
+std::vector<RankedCluster> ReferenceRanking(const std::vector<Page>& pages,
+                                            const std::vector<int>& assignment,
+                                            int k) {
+  const ClusterRankOptions options;
+  std::vector<RankedCluster> ranked;
+  for (int c = 0; c < k; ++c) {
+    RankedCluster rc;
+    rc.cluster = c;
+    for (size_t i = 0; i < pages.size(); ++i) {
+      if (assignment[i] != c) continue;
+      ++rc.num_pages;
+      rc.avg_distinct_terms += DistinctTermCount(pages[i].tree);
+      rc.avg_max_fanout += pages[i].tree.MaxFanout();
+      rc.avg_page_size += pages[i].size_bytes;
+    }
+    if (rc.num_pages == 0) continue;
+    rc.avg_distinct_terms /= rc.num_pages;
+    rc.avg_max_fanout /= rc.num_pages;
+    rc.avg_page_size /= rc.num_pages;
+    ranked.push_back(rc);
+  }
+  double max_terms = 0.0;
+  double max_fanout = 0.0;
+  double max_size = 0.0;
+  for (const RankedCluster& rc : ranked) {
+    max_terms = std::max(max_terms, rc.avg_distinct_terms);
+    max_fanout = std::max(max_fanout, rc.avg_max_fanout);
+    max_size = std::max(max_size, rc.avg_page_size);
+  }
+  for (RankedCluster& rc : ranked) {
+    double terms = max_terms > 0 ? rc.avg_distinct_terms / max_terms : 0.0;
+    double fanout = max_fanout > 0 ? rc.avg_max_fanout / max_fanout : 0.0;
+    double size = max_size > 0 ? rc.avg_page_size / max_size : 0.0;
+    rc.score = options.weight_distinct_terms * terms +
+               options.weight_fanout * fanout +
+               options.weight_page_size * size;
+  }
+  std::sort(ranked.begin(), ranked.end(),
+            [](const RankedCluster& a, const RankedCluster& b) {
+              if (a.score != b.score) return a.score > b.score;
+              return a.cluster < b.cluster;
+            });
+  return ranked;
+}
+
+TEST(ClusterRankingTest, DistinctTermsMatchDistinctTermCountBitForBit) {
+  deepweb::FleetOptions fleet_options;
+  fleet_options.num_sites = 8;
+  fleet_options.seed = 7;
+  fleet_options.drift.seed = 2026;
+  auto fleet = deepweb::GenerateSiteFleet(fleet_options);
+  deepweb::ProbeOptions probe;
+  probe.num_dictionary_words = 40;
+  probe.num_nonsense_words = 4;
+  int clusters_checked = 0;
+  for (int epoch : {0, 2}) {
+    deepweb::SetFleetEpoch(&fleet, epoch);
+    for (const deepweb::DeepWebSite& site : fleet) {
+      SCOPED_TRACE("site " + std::to_string(site.config().site_id) +
+                   " epoch " + std::to_string(epoch));
+      std::vector<Page> pages = ToPages(deepweb::BuildSiteSample(site, probe));
+      auto clustering = ClusterPages(pages, {});
+      ASSERT_TRUE(clustering.ok());
+      auto ranked = RankClusters(pages, clustering->assignment, clustering->k);
+      auto expected =
+          ReferenceRanking(pages, clustering->assignment, clustering->k);
+      ASSERT_EQ(ranked.size(), expected.size());
+      for (size_t i = 0; i < ranked.size(); ++i) {
+        EXPECT_EQ(ranked[i].cluster, expected[i].cluster);
+        EXPECT_EQ(Bits(ranked[i].avg_distinct_terms),
+                  Bits(expected[i].avg_distinct_terms));
+        EXPECT_EQ(Bits(ranked[i].score), Bits(expected[i].score));
+        ++clusters_checked;
+      }
+    }
+  }
+  EXPECT_GE(clusters_checked, 32);
+}
 
 TEST(ClusterRankingTest, ContentRichClustersRankAboveNoMatchClusters) {
   deepweb::FleetOptions fleet_options;

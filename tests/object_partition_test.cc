@@ -168,6 +168,63 @@ TEST(CollapseFieldRowsTest, ResultListsAreLeftAlone) {
   }
 }
 
+// Partitions the pagelet at `pagelet_path` on each page.
+std::vector<PageObjects> PartitionPages(
+    const std::vector<html::TagTree>& storage, const char* pagelet_path) {
+  std::vector<PageObjects> pages;
+  for (const html::TagTree& tree : storage) {
+    PageObjects page;
+    page.tree = &tree;
+    page.pagelet = tree.ResolvePath(pagelet_path);
+    page.objects = PartitionObjects(tree, page.pagelet);
+    pages.push_back(std::move(page));
+  }
+  return pages;
+}
+
+TEST(CollapseFieldRowsTest, LeadingTokenIsTheFirstContentNode) {
+  // Each object holds several content nodes and the first has no space.
+  // An object's leading token is the first word of its whole text: on
+  // detail pages the label node ("Title"), on result pages the answer
+  // node ("Walnut"), never a word of a later node.
+  std::vector<html::TagTree> details;
+  for (const char* name : {"Alpha One", "Beta Two", "Gamma Three"}) {
+    std::string html = "<table><tr><td><b>Title</b>";
+    html += name;
+    html += "</td></tr><tr><td><b>Price</b><i>$9.99</i> each</td></tr>"
+            "<tr><td><b>Year</b>1999</td></tr></table>";
+    details.push_back(html::ParseHtml(html));
+  }
+  std::vector<PageObjects> detail_pages =
+      PartitionPages(details, "html/body/table");
+  ASSERT_EQ(detail_pages[0].objects.size(), 3u);
+  EXPECT_EQ(details[0].SubtreeText(detail_pages[0].objects[0].root()),
+            "Title Alpha One");
+  EXPECT_TRUE(CollapseFieldRowObjects(&detail_pages));
+
+  std::vector<html::TagTree> results;
+  const char* names[3][3] = {{"Walnut", "Maple", "Oak"},
+                             {"Silver", "Gold", "Brass"},
+                             {"Red", "Blue", "Green"}};
+  for (const auto& page_names : names) {
+    std::string html = "<ul>";
+    for (const char* name : page_names) {
+      html += "<li><b>";
+      html += name;
+      html += "</b>In stock <i>ships</i> today</li>";
+    }
+    html += "</ul>";
+    results.push_back(html::ParseHtml(html));
+  }
+  std::vector<PageObjects> result_pages =
+      PartitionPages(results, "html/body/ul");
+  ASSERT_EQ(result_pages[0].objects.size(), 3u);
+  EXPECT_EQ(results[0].SubtreeText(result_pages[0].objects[0].root()),
+            "Walnut In stock ships today");
+  EXPECT_FALSE(CollapseFieldRowObjects(&result_pages));
+  EXPECT_EQ(result_pages[0].objects.size(), 3u);
+}
+
 TEST(CollapseFieldRowsTest, TooFewPagesIsANoOp) {
   html::TagTree tree = html::ParseHtml(
       "<table><tr><td>Title X</td></tr><tr><td>Price $1</td></tr>"

@@ -2,11 +2,133 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <unordered_map>
+
+#include "src/core/evaluation.h"
+#include "src/core/page_clustering.h"
 #include "src/core/subtree_filter.h"
+#include "src/deepweb/corpus.h"
+#include "src/deepweb/site_generator.h"
 #include "src/html/parser.h"
+#include "src/ir/similarity.h"
+#include "src/ir/tfidf.h"
+#include "src/ir/vocabulary.h"
 
 namespace thor::core {
 namespace {
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// Test-local copy of one set's score before term analysis was memoized:
+// ExtractTerms per content node, a fresh Vocabulary per set, FromCounts, a
+// TfidfModel fitted on the set, and the mean cosine over all pairs.
+double ReferenceIntraSimilarity(const std::vector<const html::TagTree*>& trees,
+                                const CommonSubtreeSet& set,
+                                const SubtreeRankOptions& options) {
+  if (set.members.size() < 2) return 1.0;
+  ir::Vocabulary vocab;
+  std::vector<ir::SparseVector> counts;
+  for (const SubtreeRef& ref : set.members) {
+    const html::TagTree& tree = *trees[static_cast<size_t>(ref.page_index)];
+    std::unordered_map<int32_t, int> member_counts;
+    for (html::NodeId id : tree.SubtreeNodes(ref.node)) {
+      const html::Node& n = tree.node(id);
+      if (n.kind != html::NodeKind::kContent) continue;
+      for (const std::string& term :
+           text::ExtractTerms(n.text, options.terms)) {
+        ++member_counts[vocab.Intern(term)];
+      }
+    }
+    counts.push_back(ir::SparseVector::FromCounts(member_counts));
+  }
+  ir::TfidfModel model = ir::TfidfModel::Fit(counts);
+  std::vector<ir::SparseVector> weighted = model.WeighAll(
+      counts,
+      options.use_tfidf ? ir::Weighting::kTfidf : ir::Weighting::kRawFrequency,
+      /*normalize=*/true);
+  double sum = 0.0;
+  int pairs = 0;
+  for (size_t i = 0; i < weighted.size(); ++i) {
+    for (size_t j = i + 1; j < weighted.size(); ++j) {
+      sum += ir::CosineNormalized(weighted[i], weighted[j]);
+      ++pairs;
+    }
+  }
+  return pairs > 0 ? sum / pairs : 1.0;
+}
+
+TEST(SubtreeRankingTest, MemoizedTermsMatchPerSetVocabularyBitForBit) {
+  deepweb::FleetOptions fleet_options;
+  fleet_options.num_sites = 8;
+  fleet_options.seed = 7;
+  fleet_options.drift.seed = 2026;
+  auto fleet = deepweb::GenerateSiteFleet(fleet_options);
+  deepweb::ProbeOptions probe;
+  probe.num_dictionary_words = 40;
+  probe.num_nonsense_words = 4;
+  int sets_checked = 0;
+  for (int epoch : {0, 2}) {
+    deepweb::SetFleetEpoch(&fleet, epoch);
+    for (const deepweb::DeepWebSite& site : fleet) {
+      SCOPED_TRACE("site " + std::to_string(site.config().site_id) +
+                   " epoch " + std::to_string(epoch));
+      std::vector<Page> pages = ToPages(deepweb::BuildSiteSample(site, probe));
+      auto clustering = ClusterPages(pages, {});
+      ASSERT_TRUE(clustering.ok());
+      for (int c = 0; c < clustering->k; ++c) {
+        std::vector<const html::TagTree*> trees;
+        std::vector<std::vector<html::NodeId>> candidates;
+        for (size_t i = 0; i < pages.size(); ++i) {
+          if (clustering->assignment[i] != c) continue;
+          trees.push_back(&pages[i].tree);
+          candidates.push_back(CandidateSubtrees(pages[i].tree));
+        }
+        if (trees.size() < 2) continue;
+        std::vector<CommonSubtreeSet> sets =
+            FindCommonSubtreeSets(trees, candidates);
+        for (bool use_tfidf : {true, false}) {
+          SubtreeRankOptions options;
+          options.use_tfidf = use_tfidf;
+          // The reference in input order, ranked by RankSubtreeSets' sort.
+          std::vector<RankedSubtreeSet> expected;
+          for (const CommonSubtreeSet& set : sets) {
+            RankedSubtreeSet rs;
+            rs.set = set;
+            rs.intra_similarity = ReferenceIntraSimilarity(trees, set, options);
+            expected.push_back(std::move(rs));
+          }
+          std::sort(expected.begin(), expected.end(),
+                    [](const RankedSubtreeSet& a, const RankedSubtreeSet& b) {
+                      return a.intra_similarity < b.intra_similarity;
+                    });
+          for (int threads : {1, 4}) {
+            options.threads = threads;
+            auto ranked = RankSubtreeSets(trees, sets, options);
+            ASSERT_EQ(ranked.size(), expected.size());
+            for (size_t i = 0; i < ranked.size(); ++i) {
+              ASSERT_EQ(Bits(ranked[i].intra_similarity),
+                        Bits(expected[i].intra_similarity))
+                  << "tfidf " << use_tfidf << " threads " << threads;
+              const auto& got = ranked[i].set.members;
+              const auto& want = expected[i].set.members;
+              ASSERT_EQ(got.size(), want.size());
+              for (size_t m = 0; m < got.size(); ++m) {
+                EXPECT_EQ(got[m].page_index, want[m].page_index);
+                EXPECT_EQ(got[m].node, want[m].node);
+              }
+            }
+          }
+          sets_checked += static_cast<int>(sets.size());
+        }
+      }
+    }
+  }
+  EXPECT_GE(sets_checked, 200);
+}
 
 // Pages with a static footer region and a dynamic answers region.
 std::string MixedPage(const std::string& dynamic_text) {
