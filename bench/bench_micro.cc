@@ -62,6 +62,10 @@ void BM_ParseHtml(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseHtml);
 
+// One parser per thread, all parsing the same page at once: with the
+// well-known tags resolved without a lock, the per-parse time at 4 threads
+// should stay near the 1-thread time (the serving path's ParallelMap
+// fan-out parses exactly like this).
 void BM_HotParseHtml(benchmark::State& state) {
   const std::string& html = MultiMatchHtml();
   html::HotParser parser;  // arena + scratch reused across iterations
@@ -72,7 +76,7 @@ void BM_HotParseHtml(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(html.size()));
 }
-BENCHMARK(BM_HotParseHtml);
+BENCHMARK(BM_HotParseHtml)->Threads(1)->Threads(4)->UseRealTime();
 
 const core::TemplateRegistry& BenchRegistry() {
   static const auto& registry = *new core::TemplateRegistry([] {

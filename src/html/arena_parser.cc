@@ -254,8 +254,8 @@ void HotParser::LexStartTag(LexedToken* token) {
   // FindTag, not InternTag: interning happens when the token is handled,
   // which keeps the registry identical to the legacy pipeline even when a
   // max_nodes cap stops handling before lexing does.
-  TagId id = FindTag(token->name);
-  if (!token->self_closing && id >= 0 && IsRawTextTag(id)) {
+  token->tag = FindTag(token->name);
+  if (!token->self_closing && token->tag >= 0 && IsRawTextTag(token->tag)) {
     EnterRawText(token->name);
   }
 }
@@ -353,7 +353,7 @@ void HotParser::PopOne() {
 }
 
 void HotParser::HandleStartTag(const LexedToken& token) {
-  TagId tag = InternTag(token.name);
+  TagId tag = token.tag >= 0 ? token.tag : InternTag(token.name);
   if (tag == Tag::kHtml) {
     // Legacy merges attributes into the root; ArenaTree stores none.
     return;

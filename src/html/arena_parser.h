@@ -17,8 +17,9 @@ namespace thor::html {
 /// allocation at steady state:
 ///
 /// - the token stream is lexed as string_views over the input; tag names
-///   are never copied (the process-wide tag registry folds case during
-///   lookup);
+///   are never copied (tag lookups fold case), and each start tag is
+///   looked up once. Well-known names resolve without a lock, so parsers on
+///   many threads do not contend;
 /// - attributes are scanned for position only (the extraction phases never
 ///   read them) — no names, values, or entity decoding are materialized;
 /// - text runs are entity-decoded and whitespace-collapsed in a single
@@ -52,6 +53,7 @@ class HotParser {
     };
     Kind kind = Kind::kSkip;
     std::string_view name;  // start/end tag name, original casing
+    TagId tag = -1;         // start tag: FindTag(name), -1 if not yet known
     std::string_view text;
     bool self_closing = false;
   };

@@ -1,5 +1,6 @@
 #include "src/html/tag_table.h"
 
+#include <array>
 #include <cassert>
 #include <deque>
 #include <mutex>
@@ -12,18 +13,84 @@ namespace thor::html {
 
 namespace {
 
-// Case-folding hash/equality so lookups never have to materialize a
+// FNV-1a over lowercased bytes, so lookups never have to materialize a
 // lowercased copy of the queried name.
-struct FoldedHash {
+constexpr uint64_t FoldedHash(std::string_view s) {
+  uint64_t hash = 14695981039346656037ull;
+  for (char c : s) {
+    hash ^= static_cast<unsigned char>(AsciiToLower(c));
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+// --- Well-known tags: immutable, built at compile time -------------------
+
+constexpr std::string_view kWellKnownNames[] = {
+#define THOR_HTML_TAG_NAME(ident, name) name,
+    THOR_HTML_WELL_KNOWN_TAGS(THOR_HTML_TAG_NAME)
+#undef THOR_HTML_TAG_NAME
+};
+static_assert(std::size(kWellKnownNames) == kWellKnownTagCount);
+
+// Open addressing with linear probing: slot -> well-known id, or -1. Under
+// 30% full, so a lookup usually probes one slot.
+constexpr size_t kSlotCount = 256;
+constexpr std::array<int8_t, kSlotCount> kSlots = [] {
+  std::array<int8_t, kSlotCount> slots{};
+  slots.fill(-1);
+  for (TagId id = 0; id < kWellKnownTagCount; ++id) {
+    size_t slot = FoldedHash(kWellKnownNames[id]) % kSlotCount;
+    while (slots[slot] >= 0) slot = (slot + 1) % kSlotCount;
+    slots[slot] = static_cast<int8_t>(id);
+  }
+  return slots;
+}();
+
+// `lower` is a canonical (lowercase) well-known name.
+constexpr bool EqualsFolded(std::string_view raw, std::string_view lower) {
+  if (raw.size() != lower.size()) return false;
+  for (size_t i = 0; i < raw.size(); ++i) {
+    if (AsciiToLower(raw[i]) != lower[i]) return false;
+  }
+  return true;
+}
+
+// No lock, no atomic, no allocation: the table never changes.
+constexpr TagId FindWellKnown(std::string_view raw) {
+  for (size_t slot = FoldedHash(raw) % kSlotCount;;
+       slot = (slot + 1) % kSlotCount) {
+    TagId id = kSlots[slot];
+    if (id < 0) return -1;
+    if (EqualsFolded(raw, kWellKnownNames[id])) return id;
+  }
+}
+
+static_assert([] {
+  for (TagId id = 0; id < kWellKnownTagCount; ++id) {
+    if (FindWellKnown(kWellKnownNames[id]) != id) return false;
+  }
+  return true;
+}(), "every well-known name must resolve to its own position");
+
+const std::string& WellKnownName(TagId id) {
+  // Leaked, like the registry, so no reader at exit sees a destroyed name.
+  static const std::string* const names = [] {
+    auto* strings = new std::string[kWellKnownTagCount];
+    for (TagId i = 0; i < kWellKnownTagCount; ++i) {
+      strings[i] = std::string(kWellKnownNames[i]);
+    }
+    return strings;
+  }();
+  return names[id];
+}
+
+// --- Every other name: the locked registry -------------------------------
+
+struct FoldedHasher {
   using is_transparent = void;
   size_t operator()(std::string_view s) const {
-    // FNV-1a over lowercased bytes.
-    uint64_t hash = 14695981039346656037ull;
-    for (char c : s) {
-      hash ^= static_cast<unsigned char>(AsciiToLower(c));
-      hash *= 1099511628211ull;
-    }
-    return static_cast<size_t>(hash);
+    return static_cast<size_t>(FoldedHash(s));
   }
   size_t operator()(const std::string& s) const {
     return (*this)(std::string_view(s));
@@ -37,11 +104,13 @@ struct FoldedEqual {
   }
 };
 
+// Names outside the well-known list; the id of `names[i]` is
+// kWellKnownTagCount + i, in order of first arrival.
 struct Registry {
   // Deque keeps `TagName` references stable while interning grows the
   // table; the map's string keys are the canonical lowercase spellings.
   std::deque<std::string> names;
-  std::unordered_map<std::string, TagId, FoldedHash, FoldedEqual> ids;
+  std::unordered_map<std::string, TagId, FoldedHasher, FoldedEqual> ids;
   // Shared across parse workers: ExtractBatch parses pages concurrently,
   // and a drifted page may carry a tag the registry has never seen.
   mutable std::shared_mutex mu;
@@ -55,7 +124,7 @@ struct Registry {
     std::unique_lock<std::shared_mutex> lock(mu);
     auto it = ids.find(raw);
     if (it != ids.end()) return it->second;
-    TagId id = static_cast<TagId>(names.size());
+    TagId id = kWellKnownTagCount + static_cast<TagId>(names.size());
     names.push_back(AsciiLower(raw));
     ids.emplace(names.back(), id);
     return id;
@@ -73,94 +142,32 @@ Registry& GetRegistry() {
   return registry;
 }
 
-TagId Reg(const char* name) { return GetRegistry().Intern(name); }
-
 }  // namespace
 
-// Registration order fixes the well-known ids; do not reorder.
-const TagId Tag::kHtml = Reg("html");
-const TagId Tag::kHead = Reg("head");
-const TagId Tag::kBody = Reg("body");
-const TagId Tag::kTitle = Reg("title");
-const TagId Tag::kMeta = Reg("meta");
-const TagId Tag::kLink = Reg("link");
-const TagId Tag::kScript = Reg("script");
-const TagId Tag::kStyle = Reg("style");
-const TagId Tag::kBase = Reg("base");
-const TagId Tag::kP = Reg("p");
-const TagId Tag::kDiv = Reg("div");
-const TagId Tag::kSpan = Reg("span");
-const TagId Tag::kTable = Reg("table");
-const TagId Tag::kTr = Reg("tr");
-const TagId Tag::kTd = Reg("td");
-const TagId Tag::kTh = Reg("th");
-const TagId Tag::kThead = Reg("thead");
-const TagId Tag::kTbody = Reg("tbody");
-const TagId Tag::kTfoot = Reg("tfoot");
-const TagId Tag::kUl = Reg("ul");
-const TagId Tag::kOl = Reg("ol");
-const TagId Tag::kLi = Reg("li");
-const TagId Tag::kDl = Reg("dl");
-const TagId Tag::kDt = Reg("dt");
-const TagId Tag::kDd = Reg("dd");
-const TagId Tag::kA = Reg("a");
-const TagId Tag::kImg = Reg("img");
-const TagId Tag::kBr = Reg("br");
-const TagId Tag::kHr = Reg("hr");
-const TagId Tag::kInput = Reg("input");
-const TagId Tag::kForm = Reg("form");
-const TagId Tag::kSelect = Reg("select");
-const TagId Tag::kOption = Reg("option");
-const TagId Tag::kTextarea = Reg("textarea");
-const TagId Tag::kB = Reg("b");
-const TagId Tag::kI = Reg("i");
-const TagId Tag::kU = Reg("u");
-const TagId Tag::kEm = Reg("em");
-const TagId Tag::kStrong = Reg("strong");
-const TagId Tag::kFont = Reg("font");
-const TagId Tag::kSmall = Reg("small");
-const TagId Tag::kBig = Reg("big");
-const TagId Tag::kH1 = Reg("h1");
-const TagId Tag::kH2 = Reg("h2");
-const TagId Tag::kH3 = Reg("h3");
-const TagId Tag::kH4 = Reg("h4");
-const TagId Tag::kH5 = Reg("h5");
-const TagId Tag::kH6 = Reg("h6");
-const TagId Tag::kCenter = Reg("center");
-const TagId Tag::kBlockquote = Reg("blockquote");
-const TagId Tag::kPre = Reg("pre");
-const TagId Tag::kCode = Reg("code");
-const TagId Tag::kNobr = Reg("nobr");
-const TagId Tag::kLabel = Reg("label");
-const TagId Tag::kButton = Reg("button");
-const TagId Tag::kCaption = Reg("caption");
-const TagId Tag::kCol = Reg("col");
-const TagId Tag::kColgroup = Reg("colgroup");
-const TagId Tag::kFrame = Reg("frame");
-const TagId Tag::kFrameset = Reg("frameset");
-const TagId Tag::kIframe = Reg("iframe");
-const TagId Tag::kMap = Reg("map");
-const TagId Tag::kArea = Reg("area");
-const TagId Tag::kParam = Reg("param");
-const TagId Tag::kObject = Reg("object");
-const TagId Tag::kEmbed = Reg("embed");
-const TagId Tag::kNoscript = Reg("noscript");
+TagId InternTag(std::string_view name) {
+  TagId id = FindWellKnown(name);
+  return id >= 0 ? id : GetRegistry().Intern(name);
+}
 
-TagId InternTag(std::string_view name) { return GetRegistry().Intern(name); }
-
-TagId FindTag(std::string_view name) { return GetRegistry().Find(name); }
+TagId FindTag(std::string_view name) {
+  TagId id = FindWellKnown(name);
+  return id >= 0 ? id : GetRegistry().Find(name);
+}
 
 const std::string& TagName(TagId id) {
+  assert(id >= 0);
+  if (id < kWellKnownTagCount) return WellKnownName(id);
   const Registry& registry = GetRegistry();
   std::shared_lock<std::shared_mutex> lock(registry.mu);
-  assert(id >= 0 && static_cast<size_t>(id) < registry.names.size());
-  return registry.names[static_cast<size_t>(id)];
+  size_t index = static_cast<size_t>(id - kWellKnownTagCount);
+  assert(index < registry.names.size());
+  return registry.names[index];
 }
 
 int TagCount() {
   const Registry& registry = GetRegistry();
   std::shared_lock<std::shared_mutex> lock(registry.mu);
-  return static_cast<int>(registry.names.size());
+  return kWellKnownTagCount + static_cast<int>(registry.names.size());
 }
 
 char TagPathSymbol(TagId id) {

@@ -13,27 +13,64 @@ namespace thor::html {
 /// `Tag::k*`), unknown tags are interned on first use.
 using TagId = int32_t;
 
-/// Well-known tag ids, fixed at registration order in tag_table.cc.
-/// Only tags the library itself consults are named here; any other tag is
-/// still interned and usable.
+/// The well-known tags, in id order: each tag's id is its position in this
+/// list, from html = 0 to noscript = 66. The one list fixes both `Tag::k*`
+/// and the immutable table that resolves these names without a lock. The
+/// ids feed `TagPathSymbol`, so append new tags; never reorder.
+#define THOR_HTML_WELL_KNOWN_TAGS(X)                                      \
+  X(Html, "html") X(Head, "head") X(Body, "body") X(Title, "title")       \
+  X(Meta, "meta") X(Link, "link") X(Script, "script") X(Style, "style")   \
+  X(Base, "base") X(P, "p") X(Div, "div") X(Span, "span")                 \
+  X(Table, "table") X(Tr, "tr") X(Td, "td") X(Th, "th") X(Thead, "thead") \
+  X(Tbody, "tbody") X(Tfoot, "tfoot") X(Ul, "ul") X(Ol, "ol") X(Li, "li") \
+  X(Dl, "dl") X(Dt, "dt") X(Dd, "dd") X(A, "a") X(Img, "img") X(Br, "br") \
+  X(Hr, "hr") X(Input, "input") X(Form, "form") X(Select, "select")       \
+  X(Option, "option") X(Textarea, "textarea") X(B, "b") X(I, "i")         \
+  X(U, "u") X(Em, "em") X(Strong, "strong") X(Font, "font")               \
+  X(Small, "small") X(Big, "big") X(H1, "h1") X(H2, "h2") X(H3, "h3")     \
+  X(H4, "h4") X(H5, "h5") X(H6, "h6") X(Center, "center")                 \
+  X(Blockquote, "blockquote") X(Pre, "pre") X(Code, "code")               \
+  X(Nobr, "nobr") X(Label, "label") X(Button, "button")                   \
+  X(Caption, "caption") X(Col, "col") X(Colgroup, "colgroup")             \
+  X(Frame, "frame") X(Frameset, "frameset") X(Iframe, "iframe")           \
+  X(Map, "map") X(Area, "area") X(Param, "param") X(Object, "object")     \
+  X(Embed, "embed") X(Noscript, "noscript")
+
+namespace tag_internal {
+/// Positions in THOR_HTML_WELL_KNOWN_TAGS.
+enum WellKnownPosition : TagId {
+#define THOR_HTML_TAG_POSITION(ident, name) k##ident,
+  THOR_HTML_WELL_KNOWN_TAGS(THOR_HTML_TAG_POSITION)
+#undef THOR_HTML_TAG_POSITION
+  kWellKnownCount
+};
+}  // namespace tag_internal
+
+/// Well-known tag ids. Only tags the library itself consults, and every tag
+/// the deep-web simulator emits, are named here; any other tag is still
+/// interned and usable.
 struct Tag {
-  static const TagId kHtml, kHead, kBody, kTitle, kMeta, kLink, kScript,
-      kStyle, kBase, kP, kDiv, kSpan, kTable, kTr, kTd, kTh, kThead, kTbody,
-      kTfoot, kUl, kOl, kLi, kDl, kDt, kDd, kA, kImg, kBr, kHr, kInput,
-      kForm, kSelect, kOption, kTextarea, kB, kI, kU, kEm, kStrong, kFont,
-      kSmall, kBig, kH1, kH2, kH3, kH4, kH5, kH6, kCenter, kBlockquote,
-      kPre, kCode, kNobr, kLabel, kButton, kCaption, kCol, kColgroup,
-      kFrame, kFrameset, kIframe, kMap, kArea, kParam, kObject, kEmbed,
-      kNoscript;
+#define THOR_HTML_TAG_ID(ident, name) \
+  static constexpr TagId k##ident = tag_internal::k##ident;
+  THOR_HTML_WELL_KNOWN_TAGS(THOR_HTML_TAG_ID)
+#undef THOR_HTML_TAG_ID
 };
 
+/// Number of well-known tags; every id below it is a `Tag::k*`.
+inline constexpr TagId kWellKnownTagCount = tag_internal::kWellKnownCount;
+
 /// Interns `name` (case-insensitive; stored lowercased) and returns its id.
+/// A well-known name resolves through the immutable table (no lock, no
+/// allocation); any other name goes through the process-wide registry,
+/// which takes a shared lock, and an exclusive one to add the name.
 TagId InternTag(std::string_view name);
 
-/// Returns the interned id if `name` is already known, or -1.
+/// Returns the interned id if `name` is already known, or -1. Lock-free for
+/// well-known names, like `InternTag`.
 TagId FindTag(std::string_view name);
 
-/// Returns the canonical lowercase name for an id. `id` must be valid.
+/// Returns the canonical lowercase name for an id. `id` must be valid. A
+/// well-known id reads immutable storage without a lock.
 const std::string& TagName(TagId id);
 
 /// Number of distinct tag names interned so far.

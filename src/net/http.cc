@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstring>
 
 #include "src/util/strings.h"
 
@@ -80,26 +81,22 @@ bool ComputeKeepAlive(const std::string& version, const HttpHeaders& headers) {
 // --- LineFramer ----------------------------------------------------------
 
 std::vector<LineFramer::Line> LineFramer::Feed(std::string_view data) {
+  // Whole runs between newlines move at once (memchr finds the newline,
+  // one append or copy moves the run); the outcome matches feeding the
+  // bytes one at a time.
   std::vector<Line> lines;
-  for (char c : data) {
+  const char* cursor = data.data();
+  const char* const end = data.data() + data.size();
+  while (cursor < end) {
+    const char* newline = static_cast<const char*>(
+        std::memchr(cursor, '\n', static_cast<size_t>(end - cursor)));
+    const char* run_end = newline != nullptr ? newline : end;
+    const size_t run = static_cast<size_t>(run_end - cursor);
     if (discarding_) {
-      if (c == '\n') {
-        discarding_ = false;
-        reported_ = false;
-      }
-      continue;
-    }
-    if (c == '\n') {
-      Line line;
-      line.text = std::move(buffer_);
-      buffer_.clear();
-      if (!line.text.empty() && line.text.back() == '\r') {
-        line.text.pop_back();
-      }
-      lines.push_back(std::move(line));
-      continue;
-    }
-    if (buffer_.size() >= max_line_bytes_) {
+      if (newline == nullptr) break;  // still inside the oversized line
+      discarding_ = false;
+      reported_ = false;
+    } else if (run > max_line_bytes_ - buffer_.size()) {
       // Bound hit mid-line: report once, then swallow to the newline so
       // the stream can resynchronize.
       buffer_.clear();
@@ -110,9 +107,25 @@ std::vector<LineFramer::Line> LineFramer::Feed(std::string_view data) {
         line.oversized = true;
         lines.push_back(std::move(line));
       }
+      cursor = run_end;  // a newline here ends the discard on the next pass
       continue;
+    } else if (newline == nullptr) {
+      buffer_.append(cursor, run);
+    } else {
+      Line line;
+      if (buffer_.empty()) {
+        line.text.assign(cursor, run);
+      } else {
+        buffer_.append(cursor, run);
+        line.text = std::move(buffer_);
+        buffer_.clear();
+      }
+      if (!line.text.empty() && line.text.back() == '\r') {
+        line.text.pop_back();
+      }
+      lines.push_back(std::move(line));
     }
-    buffer_.push_back(c);
+    cursor = newline != nullptr ? newline + 1 : end;
   }
   return lines;
 }

@@ -248,7 +248,8 @@ bool NetServer::FeedNdjson(Conn& conn, std::string_view data) {
     if (line.text.empty()) continue;
     std::string site;
     std::string html;
-    std::string error = serve::ParseRequestLine(line.text, &site, &html);
+    std::string error = serve::ParseRequestLine(
+        line.text, options_.limits.max_line_bytes, &site, &html);
     if (!error.empty()) {
       AddCounter(metrics_, "net.parse_errors");
       serve::ServerLoop::Response response;
@@ -314,7 +315,8 @@ void NetServer::RouteHttpRequest(Conn& conn, const HttpRequest& request) {
   if (request.method == "POST" && path == "/extract") {
     std::string site;
     std::string html;
-    std::string error = serve::ParseRequestLine(request.body, &site, &html);
+    std::string error = serve::ParseRequestLine(
+        request.body, options_.limits.max_body_bytes, &site, &html);
     if (!error.empty()) {
       AddCounter(metrics_, "net.parse_errors");
       serve::ServerLoop::Response response;

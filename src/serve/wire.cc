@@ -1,35 +1,81 @@
 #include "src/serve/wire.h"
 
-#include <fstream>
-#include <sstream>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstdint>
 
 #include "src/util/json.h"
 #include "src/util/json_reader.h"
 
 namespace thor::serve {
 
-std::string ParseRequestLine(const std::string& line, std::string* site,
-                             std::string* html) {
+namespace {
+
+/// Loads a "file" request's page. Only a regular file of at most
+/// `max_bytes` is read: a device such as /dev/zero never ends, and a FIFO
+/// would stall the reading thread (every connection, over TCP).
+std::string ReadRequestFile(const std::string& path, size_t max_bytes,
+                            std::string* html) {
+  // O_NONBLOCK: opening a FIFO must not wait for a writer.
+  int fd = ::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+  if (fd < 0) return "bad request: cannot read " + path;
+  std::string error;
+  struct stat info;
+  if (::fstat(fd, &info) != 0) {
+    error = "bad request: cannot read " + path;
+  } else if (!S_ISREG(info.st_mode)) {
+    error = "bad request: not a regular file: " + path;
+  } else if (static_cast<uint64_t>(info.st_size) > max_bytes) {
+    error = "bad request: file too large: " + path;
+  } else {
+    // The size may change after fstat: read to EOF, stopping one byte past
+    // the bound.
+    std::string content;
+    content.reserve(static_cast<size_t>(info.st_size));
+    char chunk[65536];
+    while (content.size() <= max_bytes) {
+      size_t want = std::min(sizeof(chunk) - 1, max_bytes - content.size()) + 1;
+      ssize_t got = ::read(fd, chunk, want);
+      if (got < 0 && errno == EINTR) continue;
+      if (got < 0) {
+        error = "bad request: cannot read " + path;
+        break;
+      }
+      if (got == 0) break;
+      content.append(chunk, static_cast<size_t>(got));
+    }
+    if (error.empty() && content.size() > max_bytes) {
+      error = "bad request: file too large: " + path;
+    }
+    if (error.empty()) *html = std::move(content);
+  }
+  ::close(fd);
+  return error;
+}
+
+}  // namespace
+
+std::string ParseRequestLine(const std::string& line, size_t max_file_bytes,
+                             std::string* site, std::string* html) {
   auto document = JsonValue::Parse(line);
   if (!document.ok()) return "bad request: " + document.status().message();
-  const JsonValue* site_value = document->Find("site");
+  JsonValue* site_value = document->Find("site");
   if (site_value == nullptr || !site_value->IsString()) {
     return "bad request: missing \"site\"";
   }
-  *site = site_value->AsString();
-  const JsonValue* html_value = document->Find("html");
+  *site = site_value->TakeString();
+  JsonValue* html_value = document->Find("html");
   if (html_value != nullptr && html_value->IsString()) {
-    *html = html_value->AsString();
+    *html = html_value->TakeString();
     return "";
   }
   const JsonValue* file_value = document->Find("file");
   if (file_value != nullptr && file_value->IsString()) {
-    std::ifstream in(file_value->AsString(), std::ios::binary);
-    if (!in) return "bad request: cannot read " + file_value->AsString();
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    *html = buffer.str();
-    return "";
+    return ReadRequestFile(file_value->AsString(), max_file_bytes, html);
   }
   return "bad request: need \"html\" or \"file\"";
 }

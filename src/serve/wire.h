@@ -1,6 +1,7 @@
 #ifndef THOR_SERVE_WIRE_H_
 #define THOR_SERVE_WIRE_H_
 
+#include <cstddef>
 #include <string>
 
 #include "src/serve/extraction_service.h"
@@ -14,11 +15,13 @@ namespace thor::serve {
 /// Response line: {"site":...,"source":...,"pagelet":...,"objects":N,
 ///                 "confidence":...,"generation":N[,"error":...]}
 
-/// Parses one request line into (site, html); a "file" request loads the
-/// page from disk. Returns a client-facing error message on failure, empty
-/// on success.
-std::string ParseRequestLine(const std::string& line, std::string* site,
-                             std::string* html);
+/// Parses one request line into (site, html); the html moves out of the
+/// parsed document. A "file" request loads the page from disk: only a
+/// regular file of at most `max_file_bytes`, the bound that also caps an
+/// inline request. Returns a client-facing error message ("bad request:
+/// ...") on failure, empty on success.
+std::string ParseRequestLine(const std::string& line, size_t max_file_bytes,
+                             std::string* site, std::string* html);
 
 /// Renders one response as a single JSON line (no trailing newline).
 std::string ResponseToJson(const std::string& site,

@@ -1,6 +1,8 @@
 #include "src/util/json_reader.h"
 
+#include <cstdint>
 #include <cstdlib>
+#include <utility>
 
 #include "src/util/strings.h"
 
@@ -148,29 +150,33 @@ class JsonParser {
             if (pos_ + 4 > text_.size()) {
               return Status::ParseError("truncated \\u escape");
             }
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char d = text_[pos_ + static_cast<size_t>(i)];
-              code <<= 4;
-              if (d >= '0' && d <= '9') {
-                code |= static_cast<unsigned>(d - '0');
-              } else if (d >= 'a' && d <= 'f') {
-                code |= static_cast<unsigned>(d - 'a' + 10);
-              } else if (d >= 'A' && d <= 'F') {
-                code |= static_cast<unsigned>(d - 'A' + 10);
-              } else {
-                return Status::ParseError("bad \\u escape digit");
-              }
+            uint32_t code = 0;
+            if (!ReadHex4(pos_, &code)) {
+              return Status::ParseError("bad \\u escape digit");
             }
             pos_ += 4;
-            // Basic-plane code points only (writer never emits others).
+            uint32_t low = 0;
+            if (code >= 0xD800 && code <= 0xDBFF &&
+                text_.compare(pos_, 2, "\\u") == 0 &&
+                ReadHex4(pos_ + 2, &low) && low >= 0xDC00 && low <= 0xDFFF) {
+              // A high surrogate joins the low one escaped right after it.
+              pos_ += 6;
+              code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+            } else if (code >= 0xD800 && code <= 0xDFFF) {
+              code = 0xFFFD;  // an unpaired surrogate
+            }
             if (code < 0x80) {
               out->push_back(static_cast<char>(code));
             } else if (code < 0x800) {
               out->push_back(static_cast<char>(0xC0 | (code >> 6)));
               out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
+            } else if (code < 0x10000) {
               out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+              out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+              out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+            } else {
+              out->push_back(static_cast<char>(0xF0 | (code >> 18)));
+              out->push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
               out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
               out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
             }
@@ -181,10 +187,37 @@ class JsonParser {
         }
         continue;
       }
-      out->push_back(c);
-      ++pos_;
+      // Copy the run up to the next quote or backslash in one append.
+      size_t run_end = pos_ + 1;
+      while (run_end < text_.size() && text_[run_end] != '"' &&
+             text_[run_end] != '\\') {
+        ++run_end;
+      }
+      out->append(text_.data() + pos_, run_end - pos_);
+      pos_ = run_end;
     }
     return Status::ParseError("unterminated string");
+  }
+
+  // Reads the four hex digits at `at`, if there are four.
+  bool ReadHex4(size_t at, uint32_t* code) const {
+    if (at + 4 > text_.size()) return false;
+    uint32_t value = 0;
+    for (size_t i = at; i < at + 4; ++i) {
+      char d = text_[i];
+      value <<= 4;
+      if (d >= '0' && d <= '9') {
+        value |= static_cast<uint32_t>(d - '0');
+      } else if (d >= 'a' && d <= 'f') {
+        value |= static_cast<uint32_t>(d - 'a' + 10);
+      } else if (d >= 'A' && d <= 'F') {
+        value |= static_cast<uint32_t>(d - 'A' + 10);
+      } else {
+        return false;
+      }
+    }
+    *code = value;
+    return true;
   }
 
   Status ParseKeyword(JsonValue* out) {
@@ -249,6 +282,10 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
     if (name == key) return &value;
   }
   return nullptr;
+}
+
+JsonValue* JsonValue::Find(std::string_view key) {
+  return const_cast<JsonValue*>(std::as_const(*this).Find(key));
 }
 
 }  // namespace thor

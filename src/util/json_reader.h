@@ -10,8 +10,9 @@
 
 namespace thor {
 
-/// \brief Minimal JSON document value (RFC 8259 subset: no surrogate-pair
-/// \u escapes), parsed by `JsonValue::Parse`.
+/// \brief Minimal JSON document value (RFC 8259), parsed by
+/// `JsonValue::Parse`. A `\u` surrogate pair decodes to one UTF-8 code
+/// point; an unpaired surrogate decodes to U+FFFD.
 ///
 /// Counterpart of JsonWriter; used to load persisted extraction templates.
 /// Object member order is preserved.
@@ -37,6 +38,8 @@ class JsonValue {
   double AsDouble() const { return number_value_; }
   long long AsInt() const { return static_cast<long long>(number_value_); }
   const std::string& AsString() const { return string_value_; }
+  /// Moves the string out, leaving this value's string empty.
+  std::string TakeString() { return std::exchange(string_value_, {}); }
 
   /// Array access; empty for non-arrays.
   const std::vector<JsonValue>& items() const { return array_; }
@@ -44,6 +47,7 @@ class JsonValue {
   /// Object access; nullptr when the key is absent or this is not an
   /// object.
   const JsonValue* Find(std::string_view key) const;
+  JsonValue* Find(std::string_view key);
   const std::vector<std::pair<std::string, JsonValue>>& members() const {
     return object_;
   }

@@ -81,9 +81,14 @@ int ParseThreadCount(const char* text, int fallback) {
 }
 
 int DefaultThreads() {
-  int hardware = static_cast<int>(std::thread::hardware_concurrency());
-  if (hardware < 1) hardware = 1;
-  return ParseThreadCount(std::getenv("THOR_THREADS"), hardware);
+  // Resolved once per process: hardware_concurrency() reads sysfs on every
+  // call, and this runs on every ParallelFor with threads = 0.
+  static const int threads = [] {
+    int hardware = static_cast<int>(std::thread::hardware_concurrency());
+    if (hardware < 1) hardware = 1;
+    return ParseThreadCount(std::getenv("THOR_THREADS"), hardware);
+  }();
+  return threads;
 }
 
 int ResolveThreads(int threads) {

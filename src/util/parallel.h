@@ -45,7 +45,8 @@ class ThreadPool {
 int ParseThreadCount(const char* text, int fallback);
 
 /// Default parallelism: `THOR_THREADS` if set to a positive integer,
-/// otherwise `std::thread::hardware_concurrency()` (at least 1).
+/// otherwise `std::thread::hardware_concurrency()` (at least 1). Resolved
+/// at first use and fixed for the life of the process.
 int DefaultThreads();
 
 /// Resolves an options-struct `threads` knob: values > 0 are taken as-is,

@@ -7,7 +7,9 @@
 
 #include "src/net/http.h"
 
+#include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -269,6 +271,131 @@ TEST(LineFramerTest, OversizedLineReportsOnceAndResyncs) {
   ASSERT_EQ(after.size(), 1u);
   EXPECT_FALSE(after[0].oversized);
   EXPECT_EQ(after[0].text, "ok");
+}
+
+/// The byte-at-a-time framer that LineFramer's bulk Feed replaced, kept as
+/// the reference the bulk path must match call for call.
+class ByteLineFramer {
+ public:
+  explicit ByteLineFramer(size_t max_line_bytes)
+      : max_line_bytes_(max_line_bytes) {}
+
+  std::vector<LineFramer::Line> Feed(std::string_view data) {
+    std::vector<LineFramer::Line> lines;
+    for (char c : data) {
+      if (discarding_) {
+        if (c == '\n') {
+          discarding_ = false;
+          reported_ = false;
+        }
+        continue;
+      }
+      if (c == '\n') {
+        LineFramer::Line line;
+        line.text = std::move(buffer_);
+        buffer_.clear();
+        if (!line.text.empty() && line.text.back() == '\r') {
+          line.text.pop_back();
+        }
+        lines.push_back(std::move(line));
+        continue;
+      }
+      if (buffer_.size() >= max_line_bytes_) {
+        buffer_.clear();
+        discarding_ = true;
+        if (!reported_) {
+          reported_ = true;
+          LineFramer::Line line;
+          line.oversized = true;
+          lines.push_back(std::move(line));
+        }
+        continue;
+      }
+      buffer_.push_back(c);
+    }
+    return lines;
+  }
+
+  size_t pending_bytes() const { return buffer_.size(); }
+
+ private:
+  size_t max_line_bytes_;
+  std::string buffer_;
+  bool discarding_ = false;
+  bool reported_ = false;
+};
+
+/// A seeded NDJSON-ish stream: LF and CRLF endings, empty lines, lines of
+/// max-1, max and max+1 bytes (with and without their CR), random bytes.
+std::string RandomFramerStream(Rng* rng, size_t max_line_bytes) {
+  std::string stream;
+  const int line_count = static_cast<int>(rng->UniformRange(1, 24));
+  for (int i = 0; i < line_count; ++i) {
+    size_t length = 0;
+    switch (rng->UniformInt(6)) {
+      case 0:
+        length = 0;
+        break;
+      case 1:
+        length = max_line_bytes > 0 ? max_line_bytes - 1 : 0;
+        break;
+      case 2:
+        length = max_line_bytes;
+        break;
+      case 3:
+        length = max_line_bytes + 1;
+        break;
+      default:
+        length = static_cast<size_t>(
+            rng->UniformInt(std::min<uint64_t>(2 * max_line_bytes + 3, 600)));
+    }
+    for (size_t b = 0; b < length; ++b) {
+      // Mostly printable; sometimes a stray CR mid-line.
+      stream.push_back(rng->UniformInt(16) == 0
+                           ? '\r'
+                           : static_cast<char>('a' + rng->UniformInt(26)));
+    }
+    const uint64_t ending = rng->UniformInt(8);
+    if (ending < 4) {
+      stream += '\n';
+    } else if (ending < 7) {
+      stream += "\r\n";
+    }  // else: no terminator, the line runs into the next one
+  }
+  return stream;
+}
+
+TEST(LineFramerTest, BulkFeedMatchesTheByteLoopAtEverySplit) {
+  Rng rng(20261019);
+  for (size_t max_line_bytes : {size_t{0}, size_t{1}, size_t{8},
+                                size_t{4096}}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      const std::string stream = RandomFramerStream(&rng, max_line_bytes);
+      LineFramer bulk(max_line_bytes);
+      ByteLineFramer bytes(max_line_bytes);
+      size_t offset = 0;
+      while (offset < stream.size()) {
+        // Split at random points: single bytes, short and long chunks.
+        const size_t remaining = stream.size() - offset;
+        size_t chunk = rng.UniformInt(4) == 0
+                           ? 1
+                           : static_cast<size_t>(
+                                 rng.UniformInt(remaining)) + 1;
+        std::string_view data(stream.data() + offset, chunk);
+        auto got = bulk.Feed(data);
+        auto want = bytes.Feed(data);
+        ASSERT_EQ(got.size(), want.size())
+            << "max " << max_line_bytes << " trial " << trial;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].oversized, want[i].oversized);
+          EXPECT_EQ(got[i].text, want[i].text);
+        }
+        ASSERT_EQ(bulk.pending_bytes(), bytes.pending_bytes())
+            << "max " << max_line_bytes << " trial " << trial;
+        offset += chunk;
+      }
+    }
+  }
 }
 
 // --- URL codec ------------------------------------------------------------

@@ -1,8 +1,12 @@
 #include "src/util/json_reader.h"
 
+#include <string>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "src/util/json.h"
+#include "src/util/rng.h"
 
 namespace thor {
 namespace {
@@ -48,9 +52,84 @@ TEST(JsonReaderTest, StringEscapes) {
 }
 
 TEST(JsonReaderTest, UnicodeEscapeToUtf8) {
-  auto value = JsonValue::Parse(R"("é€")");
+  auto value = JsonValue::Parse(R"("\u00e9\u20ac")");
   ASSERT_TRUE(value.ok());
   EXPECT_EQ(value->AsString(), "\xC3\xA9\xE2\x82\xAC");
+  // Raw UTF-8 passes through unchanged, and \u0000 stays one NUL byte.
+  EXPECT_EQ(JsonValue::Parse(R"("é€")")->AsString(), "\xC3\xA9\xE2\x82\xAC");
+  EXPECT_EQ(JsonValue::Parse(R"("a\u0000b")")->AsString(),
+            std::string("a\0b", 3));
+}
+
+/// Decodes one JSON string document, failing the test on a parse error.
+std::string DecodeString(std::string_view json) {
+  auto value = JsonValue::Parse(json);
+  EXPECT_TRUE(value.ok()) << json;
+  return value.ok() ? value->AsString() : std::string();
+}
+
+TEST(JsonReaderTest, SurrogatePairDecodesToOneCodePoint) {
+  // U+1F600, as Python's json.dumps escapes it by default.
+  EXPECT_EQ(DecodeString(R"("\ud83d\ude00")"), "\xF0\x9F\x98\x80");
+  EXPECT_EQ(DecodeString(R"("\uD83D\uDE00")"), "\xF0\x9F\x98\x80");
+  // The first and last supplementary code points.
+  EXPECT_EQ(DecodeString(R"("\ud800\udc00")"), "\xF0\x90\x80\x80");
+  EXPECT_EQ(DecodeString(R"("\udbff\udfff")"), "\xF4\x8F\xBF\xBF");
+  EXPECT_EQ(DecodeString(R"("x\ud83d\ude00y")"), "x\xF0\x9F\x98\x80y");
+}
+
+TEST(JsonReaderTest, LoneSurrogateDecodesToReplacementCharacter) {
+  const std::string kReplacement = "\xEF\xBF\xBD";
+  EXPECT_EQ(DecodeString(R"("\ud83d")"), kReplacement);
+  EXPECT_EQ(DecodeString(R"("\ud83dx")"), kReplacement + "x");
+  EXPECT_EQ(DecodeString(R"("\ude00")"), kReplacement);
+  // A high surrogate followed by an escape that is not a low surrogate:
+  // the high one is replaced, the next escape decodes as itself.
+  EXPECT_EQ(DecodeString(R"("\ud83d\u0041")"), kReplacement + "A");
+  EXPECT_EQ(DecodeString(R"("\ud83d\n")"), kReplacement + "\n");
+  EXPECT_EQ(DecodeString(R"("\ud83d\ud83d\ude00")"),
+            kReplacement + "\xF0\x9F\x98\x80");
+  EXPECT_EQ(DecodeString(R"("\ude00\ud83d")"), kReplacement + kReplacement);
+  // A malformed escape after a high surrogate is still an error.
+  EXPECT_FALSE(JsonValue::Parse(R"("\ud83d\uzzzz")").ok());
+  EXPECT_FALSE(JsonValue::Parse(R"("\ud83d\ud")").ok());
+}
+
+TEST(JsonReaderTest, RandomBytesRoundTripThroughEscape) {
+  Rng rng(20261019);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string raw;
+    const size_t length = static_cast<size_t>(rng.UniformInt(200));
+    for (size_t i = 0; i < length; ++i) {
+      // Bias toward the bytes that end a run: quote, backslash, controls.
+      switch (rng.UniformInt(8)) {
+        case 0:
+          raw.push_back('"');
+          break;
+        case 1:
+          raw.push_back('\\');
+          break;
+        case 2:
+          raw.push_back(static_cast<char>(rng.UniformInt(0x20)));
+          break;
+        default:
+          raw.push_back(static_cast<char>(rng.UniformInt(256)));
+      }
+    }
+    const std::string json = "\"" + JsonWriter::Escape(raw) + "\"";
+    auto value = JsonValue::Parse(json);
+    ASSERT_TRUE(value.ok()) << "trial " << trial;
+    ASSERT_EQ(value->AsString(), raw) << "trial " << trial;
+  }
+}
+
+TEST(JsonReaderTest, TakeStringMovesTheValueOut) {
+  auto value = JsonValue::Parse(R"({"html":"<p>x</p>"})");
+  ASSERT_TRUE(value.ok());
+  JsonValue* html = value->Find("html");
+  ASSERT_NE(html, nullptr);
+  EXPECT_EQ(html->TakeString(), "<p>x</p>");
+  EXPECT_EQ(html->AsString(), "");
 }
 
 TEST(JsonReaderTest, RejectsMalformedInput) {

@@ -8,8 +8,10 @@
 #include "src/net/net_server.h"
 
 #include <sys/socket.h>
+#include <sys/stat.h>
 
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -229,6 +231,60 @@ TEST(NetServerTest, NdjsonMatchesTheSharedWireRenderer) {
   ASSERT_EQ(lines.size(), 1u);
   auto response = world.service->Extract({"parity", kPage});
   EXPECT_EQ(lines[0], serve::ResponseToJson("parity", response));
+}
+
+TEST(NetServerTest, FileRequestsReadOnlyBoundedRegularFiles) {
+  // A "file" request is read on the loop thread: /dev/zero never ends, a
+  // FIFO never opens for reading without a writer, and a file past the
+  // request bound would buffer without limit. Each costs one bad-request
+  // line in stream order; the connection keeps serving.
+  NetServerOptions net_options;
+  net_options.limits.max_line_bytes = 4096;
+  NetWorld world("file_bounds", net_options);
+  const fs::path dir = FreshDir("file_bounds_pages");
+  fs::create_directories(dir);
+  const std::string fifo = (dir / "pipe").string();
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  const std::string over = (dir / "over.html").string();
+  std::ofstream(over) << std::string(4097, 'x');
+  const std::string at_bound = (dir / "at_bound.html").string();
+  std::ofstream(at_bound) << std::string(4096, 'x');
+  const std::string page = (dir / "page.html").string();
+  std::ofstream(page) << kPage;
+
+  std::string payload;
+  for (const std::string& path :
+       {std::string("/dev/zero"), fifo, over, at_bound, page}) {
+    payload += "{\"site\":\"s\",\"file\":\"" + path + "\"}\n";
+  }
+  std::vector<std::string> lines =
+      SplitLines(NdjsonExchange(world.port, payload));
+  ASSERT_EQ(lines.size(), 5u);
+  EXPECT_NE(lines[0].find("bad request: not a regular file"),
+            std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find("bad request: not a regular file"),
+            std::string::npos) << lines[1];
+  EXPECT_NE(lines[2].find("bad request: file too large"), std::string::npos)
+      << lines[2];
+  EXPECT_EQ(lines[3].find("bad request"), std::string::npos) << lines[3];
+  EXPECT_EQ(lines[4], serve::ResponseToJson(
+                          "s", world.service->Extract({"s", kPage})));
+
+  // POST /extract holds its file to the body bound the same way.
+  auto sock = ConnectTcp("127.0.0.1", world.port, TestDeadline());
+  ASSERT_TRUE(sock.ok());
+  std::string wire = SerializeRequest(
+      "POST", "/extract", "{\"site\":\"s\",\"file\":\"/dev/zero\"}");
+  wire += SerializeRequest("POST", "/extract",
+                           "{\"site\":\"s\",\"file\":\"" + page + "\"}");
+  SendAll(*sock, wire);
+  std::vector<HttpResponse> responses = ReadResponses(*sock, 2);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_EQ(responses[0].status_code, 400);
+  EXPECT_NE(responses[0].body.find("bad request"), std::string::npos);
+  EXPECT_EQ(responses[1].status_code, 200);
+  EXPECT_NE(responses[1].body.find("\"source\":\"miss\""),
+            std::string::npos);
 }
 
 TEST(NetServerTest, HttpKeepAlivePipelining) {

@@ -11,6 +11,9 @@
 #
 # Also checks graceful shutdown: SIGTERM after the stream completes must
 # exit 0, and the port file must be cleaned-up-by-overwrite on restart.
+# Last, "file" requests that name a device, a FIFO or a file past
+# --max-request-bytes must each answer one bad-request line, identically
+# over stdio and TCP, without stalling or killing the daemon.
 #
 # usage: thord_net.sh THORD THORCLI WORKDIR
 
@@ -93,6 +96,51 @@ done
 if ! cmp -s "$WORK/tcp.t1" "$WORK/tcp.t4"; then
   echo "FAIL: TCP streams differ between THOR_THREADS=1 and 4"
   fail=1
+fi
+
+# Hostile "file" requests: a device that never ends, a FIFO with no
+# writer, and a regular file past --max-request-bytes each earn one
+# bad-request line, over stdio and TCP alike, and the next request is
+# still served exactly as in the stream above.
+mkfifo "$WORK/pipe" || exit 1
+head -c 65537 /dev/zero | tr '\0' x > "$WORK/over.html"
+{
+  printf '{"site":"site0","file":"/dev/zero"}\n'
+  printf '{"site":"site0","file":"%s"}\n' "$WORK/pipe"
+  printf '{"site":"site0","file":"%s"}\n' "$WORK/over.html"
+  head -n 1 "$WORK/requests.ndjson"
+} > "$WORK/hostile.ndjson"
+if ! timeout 60 "$THORD" --store "$WORK/store" --max-request-bytes 65536 \
+    < "$WORK/hostile.ndjson" > "$WORK/hostile.stdio"; then
+  echo "FAIL: hostile file requests: stdio run failed"
+  fail=1
+fi
+bad=$(grep -c '"error":"bad request' "$WORK/hostile.stdio")
+if [ "$bad" -ne 3 ] ||
+    [ "$(sed -n 4p "$WORK/hostile.stdio")" != "$(head -n 1 "$WORK/stdio.t1")" ]; then
+  echo "FAIL: hostile file requests: want 3 bad requests, then the page served"
+  fail=1
+fi
+portfile="$WORK/port.hostile"
+"$THORD" --store "$WORK/store" --max-request-bytes 65536 \
+  --listen 0 --port-file "$portfile" 2>/dev/null &
+daemon=$!
+if port=$(wait_port "$portfile"); then
+  if ! timeout 60 "$THORCLI" send --port "$port" < "$WORK/hostile.ndjson" \
+      > "$WORK/hostile.tcp" ||
+      ! cmp -s "$WORK/hostile.stdio" "$WORK/hostile.tcp"; then
+    echo "FAIL: hostile file requests: TCP stream differs from stdio"
+    fail=1
+  fi
+  kill -TERM "$daemon"
+  if ! wait "$daemon"; then
+    echo "FAIL: hostile file requests: daemon did not survive them"
+    fail=1
+  fi
+else
+  echo "FAIL: hostile file requests: daemon never published its port"
+  fail=1
+  kill -9 "$daemon" 2>/dev/null; wait "$daemon" 2>/dev/null
 fi
 
 if [ "$fail" -eq 0 ]; then

@@ -85,8 +85,8 @@ int Usage() {
       "(default 0 = none)\n"
       "  --relearn-deadline-ms MS  per-relearn pipeline deadline "
       "(default 0 = none)\n"
-      "  --max-request-bytes N   larger request lines are shed "
-      "(default 4194304)\n"
+      "  --max-request-bytes N   larger request lines are shed, and "
+      "\"file\" pages larger than N refused (default 4194304)\n"
       "  --fleet N               enable relearning against N simulated "
       "sites\n"
       "  --fault-rate R          inject transport faults at rate R into "
@@ -548,7 +548,8 @@ int Main(int argc, char** argv) {
         continue;
       }
       std::string site, html;
-      std::string error = serve::ParseRequestLine(line, &site, &html);
+      std::string error = serve::ParseRequestLine(
+          line, options.max_request_bytes, &site, &html);
       if (!error.empty()) {
         serve::ExtractionService::Response response;
         response.error = error;
