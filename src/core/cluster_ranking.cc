@@ -12,8 +12,8 @@ namespace {
 // DistinctTermCount for the pages of one RankClusters call: one analyzer
 // stems each distinct token once, and a page's terms are counted by id.
 // Content nodes hold whitespace-collapsed text and SubtreeText joins them
-// with one space, so tokenising node by node finds the same terms; only
-// childless tag nodes are ever detached, so node storage holds exactly the
+// with one space, so tokenising node by node finds the same terms; every
+// stored node hangs off the root, so node storage holds exactly the
 // content nodes the root reaches.
 class DistinctTermCounter {
  public:

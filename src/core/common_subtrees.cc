@@ -1,7 +1,6 @@
 #include "src/core/common_subtrees.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <string_view>
 #include <unordered_map>
@@ -13,32 +12,11 @@ namespace thor::core {
 
 ShapeQuad MakeShapeQuad(const html::TagTree& tree, html::NodeId node) {
   ShapeQuad quad;
-  quad.path_symbols = tree.PathSymbols(node);
-  quad.fanout = tree.Fanout(node);
-  quad.depth = tree.Depth(node);
-  quad.num_nodes = tree.SubtreeSize(node);
+  AssignShapeQuad(tree, node, &quad);
   return quad;
 }
 
 namespace {
-
-double RatioTerm(int a, int b) {
-  int hi = std::max(a, b);
-  if (hi == 0) return 0.0;
-  return static_cast<double>(std::abs(a - b)) / hi;
-}
-
-// Shape distance with the (expensive) path term supplied by the caller —
-// the matching loop reads it from the interned-pair cache instead of
-// recomputing the edit distance for every candidate pair.
-double ShapeDistanceWithPathTerm(const ShapeQuad& a, const ShapeQuad& b,
-                                 double path_term,
-                                 const ShapeDistanceWeights& weights) {
-  return weights.path * path_term +
-         weights.fanout * RatioTerm(a.fanout, b.fanout) +
-         weights.depth * RatioTerm(a.depth, b.depth) +
-         weights.nodes * RatioTerm(a.num_nodes, b.num_nodes);
-}
 
 // Interns path-symbol strings to dense ids so edit distances can be cached
 // per distinct pair instead of per candidate pair. Views point into the

@@ -1,10 +1,13 @@
 #ifndef THOR_CORE_COMMON_SUBTREES_H_
 #define THOR_CORE_COMMON_SUBTREES_H_
 
+#include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "src/html/tag_tree.h"
+#include "src/html/tree_read.h"
 #include "src/util/metrics.h"
 
 namespace thor::core {
@@ -25,6 +28,16 @@ struct ShapeQuad {
   int num_nodes = 0;
 };
 
+/// Writes the quadruple for the subtree of `tree` rooted at `node` into
+/// `quad`, reusing its path string's capacity.
+template <html::ReadableTree Tree>
+void AssignShapeQuad(const Tree& tree, html::NodeId node, ShapeQuad* quad) {
+  quad->path_symbols.assign(tree.PathSymbols(node));
+  quad->fanout = tree.Fanout(node);
+  quad->depth = tree.Depth(node);
+  quad->num_nodes = tree.SubtreeSize(node);
+}
+
 /// Builds the quadruple for the subtree of `tree` rooted at `node`.
 ShapeQuad MakeShapeQuad(const html::TagTree& tree, html::NodeId node);
 
@@ -43,6 +56,29 @@ struct ShapeDistanceWeights {
   static ShapeDistanceWeights NodesOnly() { return {0, 0, 0, 1}; }
   static ShapeDistanceWeights All() { return {0.25, 0.25, 0.25, 0.25}; }
 };
+
+/// One count term of the shape distance: |a - b| / max(a, b), 0 when both
+/// are 0.
+inline double RatioTerm(int a, int b) {
+  int hi = std::max(a, b);
+  if (hi == 0) return 0.0;
+  return static_cast<double>(std::abs(a - b)) / hi;
+}
+
+/// The shape distance with the (expensive) path term supplied by the
+/// caller, who may have memoized it per distinct path. `a` and `b` are any
+/// quads carrying `fanout`, `depth` and `num_nodes`; every shape distance
+/// in the library is this sum, in this term order, so learning and serving
+/// agree to the bit.
+template <typename QuadA, typename QuadB>
+double ShapeDistanceWithPathTerm(const QuadA& a, const QuadB& b,
+                                 double path_term,
+                                 const ShapeDistanceWeights& weights) {
+  return weights.path * path_term +
+         weights.fanout * RatioTerm(a.fanout, b.fanout) +
+         weights.depth * RatioTerm(a.depth, b.depth) +
+         weights.nodes * RatioTerm(a.num_nodes, b.num_nodes);
+}
 
 /// The paper's weighted subtree distance in [0, 1]:
 ///   w1 * editDist(P_i, P_j) / max(len) + w2 * |F_i - F_j| / max(F)

@@ -1,35 +1,10 @@
 #include "src/core/hot_extractor.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 
 #include "src/text/edit_distance.h"
 
 namespace thor::core {
-
-namespace {
-
-// Same arithmetic as common_subtrees.cc's RatioTerm (bit-identical terms).
-double RatioTerm(int a, int b) {
-  int hi = std::max(a, b);
-  if (hi == 0) return 0.0;
-  return static_cast<double>(std::abs(a - b)) / hi;
-}
-
-// MatchPeriod from object_partition.cc, on the reusable tag scratch.
-int MatchPeriod(const std::vector<html::TagId>& tags, int period,
-                int min_objects) {
-  if (period <= 0 || static_cast<int>(tags.size()) < period * min_objects) {
-    return 0;
-  }
-  for (size_t i = static_cast<size_t>(period); i < tags.size(); ++i) {
-    if (tags[i] != tags[i - static_cast<size_t>(period)]) return 0;
-  }
-  return static_cast<int>(tags.size()) / period;
-}
-
-}  // namespace
 
 CompiledTemplates CompiledTemplates::Compile(const TemplateRegistry& registry) {
   CompiledTemplates out;
@@ -66,66 +41,6 @@ ir::SparseVector HotExtractor::PageTagCounts() const {
   // FromPairs sorts by id and recomputes the norm over sorted entries —
   // exactly what TagCountVector's FromCounts path produces.
   return ir::SparseVector::FromPairs(std::move(entries));
-}
-
-void HotExtractor::GatherCandidates(const html::ArenaTree& tree,
-                                    const SubtreeFilterOptions& options) {
-  candidates_.clear();
-  quads_.clear();
-  // Linked preorder, same visit order as TagTree::Preorder(); node-id order
-  // would be wrong (head/body synthesis can append out of document order).
-  const html::NodeId root = tree.root();
-  html::NodeId cur = root;
-  while (true) {
-    const html::ArenaNode& n = tree.node(cur);
-    // Candidate rules, field-for-field from CandidateSubtrees().
-    if (cur != root && n.is_tag() && n.tag != html::Tag::kHead &&
-        n.tag != html::Tag::kBody &&
-        !(options.skip_inline_roots && html::IsInlineTag(n.tag)) &&
-        n.content_length >= options.min_content_length &&
-        n.subtree_size >= options.min_subtree_nodes) {
-      bool wrapper = false;
-      double threshold = options.wrapper_content_fraction * n.content_length;
-      for (html::NodeId child = n.first_child; child != html::kInvalidNode;
-           child = tree.node(child).next_sibling) {
-        const html::ArenaNode& c = tree.node(child);
-        if (c.is_tag() && !html::IsInlineTag(c.tag) &&
-            c.content_length >= threshold) {
-          wrapper = true;
-          break;
-        }
-      }
-      bool keep = !wrapper;
-      if (keep && options.require_branching) {
-        bool has_direct_content = false;
-        for (html::NodeId child = n.first_child; child != html::kInvalidNode;
-             child = tree.node(child).next_sibling) {
-          const html::ArenaNode& c = tree.node(child);
-          if (!c.is_tag() || (html::IsInlineTag(c.tag) &&
-                              c.content_length > 0)) {
-            has_direct_content = true;
-            break;
-          }
-        }
-        if (n.fanout < 2 && !has_direct_content) keep = false;
-      }
-      if (keep) {
-        candidates_.push_back(cur);
-        quads_.push_back({n.path_id, n.fanout, n.depth, n.subtree_size});
-      }
-    }
-    // Advance preorder via the links.
-    if (n.first_child != html::kInvalidNode) {
-      cur = n.first_child;
-      continue;
-    }
-    while (cur != root &&
-           tree.node(cur).next_sibling == html::kInvalidNode) {
-      cur = tree.node(cur).parent;
-    }
-    if (cur == root) break;
-    cur = tree.node(cur).next_sibling;
-  }
 }
 
 bool HotExtractor::PassesStableGate(const html::ArenaTree& tree,
@@ -171,18 +86,23 @@ double HotExtractor::Distance(const html::ArenaTree& tree,
                               const CompiledTemplate& tmpl,
                               const HotQuad& quad,
                               const ShapeDistanceWeights& weights) {
-  // Same term order as ShapeDistanceWithPathTerm (bit-identical sums).
-  return weights.path * PathTerm(tree, tmpl, quad.path_id) +
-         weights.fanout * RatioTerm(tmpl.prototype.fanout, quad.fanout) +
-         weights.depth * RatioTerm(tmpl.prototype.depth, quad.depth) +
-         weights.nodes * RatioTerm(tmpl.prototype.num_nodes, quad.num_nodes);
+  return ShapeDistanceWithPathTerm(tmpl.prototype, quad,
+                                   PathTerm(tree, tmpl, quad.path_id),
+                                   weights);
 }
 
 TemplateRegistry::Located HotExtractor::Locate(
     const html::ArenaTree& tree, const CompiledTemplates& templates,
     const TemplateApplyOptions& apply) {
   TemplateRegistry::Located located;
-  GatherCandidates(tree, apply.filter);
+  candidates_.clear();
+  quads_.clear();
+  tree.ForEachInSubtree(tree.root(), [&](html::NodeId id) {
+    if (!IsCandidateRoot(tree, id, apply.filter)) return;
+    const html::ArenaNode& n = tree.node(id);
+    candidates_.push_back(id);
+    quads_.push_back({n.path_id, n.fanout, n.depth, n.subtree_size});
+  });
   if (candidates_.empty()) return located;
   const std::vector<CompiledTemplate>& all = templates.templates();
   for (size_t t = 0; t < all.size(); ++t) {
@@ -231,101 +151,6 @@ TemplateRegistry::Located HotExtractor::Locate(
   return located;
 }
 
-void HotExtractor::Partition(const html::ArenaTree& tree,
-                             html::NodeId pagelet,
-                             const ObjectPartitionOptions& options) {
-  parts_.clear();
-  span_offsets_.clear();
-  span_offsets_.push_back(0);
-
-  children_.clear();
-  for (html::NodeId child = tree.node(pagelet).first_child;
-       child != html::kInvalidNode; child = tree.node(child).next_sibling) {
-    const html::ArenaNode& c = tree.node(child);
-    if (c.is_tag() && c.content_length > 0) children_.push_back(child);
-  }
-
-  // 1. Exact repeated tag-period detection, shortest period first.
-  child_tags_.clear();
-  child_tags_.reserve(children_.size());
-  for (html::NodeId child : children_) {
-    child_tags_.push_back(tree.node(child).tag);
-  }
-  for (int period = 1; period <= options.max_period; ++period) {
-    int repeats = MatchPeriod(child_tags_, period, options.min_objects);
-    if (repeats < options.min_objects) continue;
-    for (size_t start = 0; start + 1 <= children_.size();
-         start += static_cast<size_t>(period)) {
-      for (size_t off = 0;
-           off < static_cast<size_t>(period) &&
-           start + off < children_.size();
-           ++off) {
-        parts_.push_back(children_[start + off]);
-      }
-      span_offsets_.push_back(static_cast<int32_t>(parts_.size()));
-    }
-    return;
-  }
-
-  // 2. Shape-similarity grouping (serving path has no hints, so the seed
-  // order is plain index order, same as legacy with empty hints).
-  if (static_cast<int>(children_.size()) >= options.min_objects) {
-    child_quads_.clear();
-    child_quads_.reserve(children_.size());
-    for (html::NodeId child : children_) {
-      const html::ArenaNode& c = tree.node(child);
-      child_quads_.push_back({c.path_id, c.fanout, c.depth, c.subtree_size});
-    }
-    const ShapeDistanceWeights weights;  // PartitionObjects uses defaults
-    best_group_.clear();
-    for (size_t seed = 0; seed < children_.size(); ++seed) {
-      group_.clear();
-      for (size_t i = 0; i < children_.size(); ++i) {
-        const HotQuad& a = child_quads_[seed];
-        const HotQuad& b = child_quads_[i];
-        std::string_view pa = tree.path(a.path_id);
-        std::string_view pb = tree.path(b.path_id);
-        double path_term =
-            pa == pb ? 0.0 : text::NormalizedEditDistance(pa, pb);
-        double d = weights.path * path_term +
-                   weights.fanout * RatioTerm(a.fanout, b.fanout) +
-                   weights.depth * RatioTerm(a.depth, b.depth) +
-                   weights.nodes * RatioTerm(a.num_nodes, b.num_nodes);
-        if (d <= options.shape_distance_threshold) group_.push_back(i);
-      }
-      if (group_.size() > best_group_.size()) {
-        best_group_.swap(group_);
-      }
-    }
-    if (static_cast<int>(best_group_.size()) >= options.min_objects) {
-      for (size_t index : best_group_) {
-        parts_.push_back(children_[index]);
-        span_offsets_.push_back(static_cast<int32_t>(parts_.size()));
-      }
-      return;
-    }
-  }
-
-  // 3. No repetition: the pagelet is one object.
-  parts_.push_back(pagelet);
-  span_offsets_.push_back(static_cast<int32_t>(parts_.size()));
-}
-
-void HotExtractor::AppendObjectTexts(const html::ArenaTree& tree,
-                                     std::vector<std::string>* out) {
-  out->reserve(out->size() + span_offsets_.size() - 1);
-  for (size_t k = 0; k + 1 < span_offsets_.size(); ++k) {
-    std::string text;
-    for (int32_t i = span_offsets_[k]; i < span_offsets_[k + 1]; ++i) {
-      text_scratch_.clear();
-      tree.AppendSubtreeText(parts_[static_cast<size_t>(i)], &text_scratch_);
-      if (!text.empty() && !text_scratch_.empty()) text.push_back(' ');
-      text.append(text_scratch_);
-    }
-    out->push_back(std::move(text));
-  }
-}
-
 HotExtractor::Result HotExtractor::Extract(
     std::string_view html, const CompiledTemplates& templates,
     const TemplateApplyOptions& apply,
@@ -336,8 +161,11 @@ HotExtractor::Result HotExtractor::Extract(
   if (result.located.node == html::kInvalidNode) return result;
   result.hit = true;
   result.pagelet_path = tree.PathString(result.located.node);
-  Partition(tree, result.located.node, partition);
-  AppendObjectTexts(tree, &result.objects);
+  PartitionInto(tree, result.located.node, {}, partition, &objects_);
+  result.objects.resize(objects_.size());
+  for (size_t k = 0; k < objects_.size(); ++k) {
+    AppendObjectText(tree, objects_.object(k), &result.objects[k]);
+  }
   return result;
 }
 

@@ -51,8 +51,12 @@ class CompiledTemplates {
 /// (Page::Parse + TemplateRegistry::LocateDetailed + PartitionObjects +
 /// ObjectTexts) — the contract the differential harness enforces — while
 /// reusing one arena, one parser, and all scratch buffers across calls.
-/// Path comparisons run on the page-local interned path table: the exact
-/// -path flag and the prototype edit-distance term are computed once per
+/// The candidate filter (`IsCandidateRoot`), the shape arithmetic, Stage 3
+/// (`PartitionInto`) and the object text are the legacy pipeline's own
+/// templates instantiated on the ArenaTree; only parse, the fused
+/// signature and Locate are specific to this path. Locate's path
+/// comparisons run on the page-local interned path table: the exact-path
+/// flag and the prototype edit-distance term are computed once per
 /// distinct path id per template instead of once per candidate.
 ///
 /// Not thread-safe; keep one HotExtractor per worker thread (it is designed
@@ -94,18 +98,12 @@ class HotExtractor {
     int32_t num_nodes = 0;
   };
 
-  void GatherCandidates(const html::ArenaTree& tree,
-                        const SubtreeFilterOptions& options);
   bool PassesStableGate(const html::ArenaTree& tree,
                         const CompiledTemplate& tmpl) const;
   double PathTerm(const html::ArenaTree& tree, const CompiledTemplate& tmpl,
                   uint32_t path_id);
   double Distance(const html::ArenaTree& tree, const CompiledTemplate& tmpl,
                   const HotQuad& quad, const ShapeDistanceWeights& weights);
-  void Partition(const html::ArenaTree& tree, html::NodeId pagelet,
-                 const ObjectPartitionOptions& options);
-  void AppendObjectTexts(const html::ArenaTree& tree,
-                         std::vector<std::string>* out);
 
   html::HotParser parser_;
 
@@ -118,15 +116,8 @@ class HotExtractor {
   /// Per-distinct-path memo, reset per template: edit-distance path term
   /// against the template prototype; < 0 = unset.
   std::vector<double> term_memo_;
-  /// Object spans, flattened: parts_[span_offsets_[k] .. span_offsets_[k+1]).
-  std::vector<html::NodeId> parts_;
-  std::vector<int32_t> span_offsets_;
-  std::vector<html::NodeId> children_;
-  std::vector<html::TagId> child_tags_;
-  std::vector<HotQuad> child_quads_;
-  std::vector<size_t> group_;
-  std::vector<size_t> best_group_;
-  std::string text_scratch_;
+  /// Stage-3 output and scratch.
+  FlatObjects objects_;
 };
 
 }  // namespace thor::core

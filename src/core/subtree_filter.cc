@@ -5,52 +5,9 @@ namespace thor::core {
 std::vector<html::NodeId> CandidateSubtrees(
     const html::TagTree& tree, const SubtreeFilterOptions& options) {
   std::vector<html::NodeId> candidates;
-  for (html::NodeId id : tree.Preorder()) {
-    if (id == tree.root()) continue;  // never the whole page
-    const html::Node& n = tree.node(id);
-    if (n.kind != html::NodeKind::kTag) continue;
-    if (n.tag == html::Tag::kHead || n.tag == html::Tag::kBody) continue;
-    if (options.skip_inline_roots && html::IsInlineTag(n.tag)) continue;
-    // Rule 1: must contain content.
-    if (n.content_length < options.min_content_length) continue;
-    if (n.subtree_size < options.min_subtree_nodes) continue;
-    // Rule 2 (minimality): if one child subtree holds (nearly) all of this
-    // node's content, this node is an equivalent-but-larger wrapper — the
-    // child is the better candidate, so skip this node.
-    // Inline children (<a>, <b>, <font>, ...) do not make their parent a
-    // wrapper: the minimal *block* subtree is the right candidate, and
-    // inline elements are themselves skipped as candidate roots.
-    bool wrapper = false;
-    double threshold =
-        options.wrapper_content_fraction * n.content_length;
-    for (html::NodeId child : n.children) {
-      const html::Node& c = tree.node(child);
-      if (c.kind == html::NodeKind::kTag && !html::IsInlineTag(c.tag) &&
-          c.content_length >= threshold) {
-        wrapper = true;
-        break;
-      }
-    }
-    if (wrapper) continue;
-    // Rule 3: require local branching or direct content. Inline children
-    // are transparent here: a <dt> whose text lives inside an <a> still
-    // "owns" that content, because inline elements are never candidates
-    // themselves.
-    if (options.require_branching) {
-      bool has_direct_content = false;
-      for (html::NodeId child : n.children) {
-        const html::Node& c = tree.node(child);
-        if (c.kind == html::NodeKind::kContent ||
-            (c.kind == html::NodeKind::kTag && html::IsInlineTag(c.tag) &&
-             c.content_length > 0)) {
-          has_direct_content = true;
-          break;
-        }
-      }
-      if (tree.Fanout(id) < 2 && !has_direct_content) continue;
-    }
-    candidates.push_back(id);
-  }
+  tree.ForEachInSubtree(tree.root(), [&](html::NodeId id) {
+    if (IsCandidateRoot(tree, id, options)) candidates.push_back(id);
+  });
   return candidates;
 }
 

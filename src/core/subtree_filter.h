@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/html/tag_tree.h"
+#include "src/html/tree_read.h"
 
 namespace thor::core {
 
@@ -30,13 +31,56 @@ struct SubtreeFilterOptions {
   bool skip_inline_roots = true;
 };
 
-/// \brief Phase-II single-page analysis: returns the candidate subtrees of
-/// one page, in document order.
+/// \brief Phase-II single-page analysis for one node: true if the subtree
+/// rooted at `id` is a candidate QA-Pagelet region.
 ///
 /// Implements the paper's three filtering rules: drop content-free
 /// subtrees, drop non-minimal subtrees whose entire content lives in a
 /// single child (the child is the better candidate), and require local
 /// branching at the root. The page root itself is never a candidate.
+/// Written once for learning's `TagTree` and serving's `ArenaTree`.
+template <html::ReadableTree Tree>
+bool IsCandidateRoot(const Tree& tree, html::NodeId id,
+                     const SubtreeFilterOptions& options) {
+  if (id == tree.root()) return false;  // never the whole page
+  const auto& n = tree.node(id);
+  if (!n.is_tag()) return false;
+  if (n.tag == html::Tag::kHead || n.tag == html::Tag::kBody) return false;
+  if (options.skip_inline_roots && html::IsInlineTag(n.tag)) return false;
+  // Rule 1: must contain content.
+  if (n.content_length < options.min_content_length) return false;
+  if (n.subtree_size < options.min_subtree_nodes) return false;
+  // Rule 2 (minimality): if one child subtree holds (nearly) all of this
+  // node's content, this node is an equivalent-but-larger wrapper — the
+  // child is the better candidate, so skip this node.
+  // Inline children (<a>, <b>, <font>, ...) do not make their parent a
+  // wrapper: the minimal *block* subtree is the right candidate, and
+  // inline elements are themselves skipped as candidate roots.
+  const double threshold =
+      options.wrapper_content_fraction * n.content_length;
+  for (html::NodeId child : tree.Children(id)) {
+    const auto& c = tree.node(child);
+    if (c.is_tag() && !html::IsInlineTag(c.tag) &&
+        c.content_length >= threshold) {
+      return false;
+    }
+  }
+  // Rule 3: require local branching or direct content. Inline children
+  // are transparent here: a <dt> whose text lives inside an <a> still
+  // "owns" that content, because inline elements are never candidates
+  // themselves.
+  if (!options.require_branching || tree.Fanout(id) >= 2) return true;
+  for (html::NodeId child : tree.Children(id)) {
+    const auto& c = tree.node(child);
+    if (!c.is_tag() || (html::IsInlineTag(c.tag) && c.content_length > 0)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The candidate subtrees of one page (`IsCandidateRoot`), in document
+/// order.
 std::vector<html::NodeId> CandidateSubtrees(
     const html::TagTree& tree, const SubtreeFilterOptions& options = {});
 

@@ -58,13 +58,7 @@ bool PageUsable(const Page& page, int min_page_nodes) {
   int tag_nodes = 0;
   for (html::NodeId id = 0;
        id < tree.node_count() && tag_nodes < min_page_nodes; ++id) {
-    const html::Node& n = tree.node(id);
-    // A detached node (parent kInvalidNode, e.g. an empty inline tag Tidy
-    // dropped) is not part of the page, as in FinalizeDerived.
-    if (n.kind == html::NodeKind::kTag &&
-        (id == tree.root() || n.parent != html::kInvalidNode)) {
-      ++tag_nodes;
-    }
+    if (tree.node(id).is_tag()) ++tag_nodes;
   }
   return tag_nodes >= min_page_nodes;
 }

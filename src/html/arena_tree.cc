@@ -1,8 +1,9 @@
 #include "src/html/arena_tree.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
+
+#include "src/html/tree_read.h"
 
 namespace thor::html {
 
@@ -110,57 +111,16 @@ std::string_view ArenaTree::PathSymbols(NodeId id) const {
 }
 
 std::string ArenaTree::PathString(NodeId id) const {
-  std::vector<NodeId> chain;
-  for (NodeId cur = id; cur != kInvalidNode; cur = node(cur).parent) {
-    if (node(cur).is_tag()) chain.push_back(cur);
-  }
-  std::reverse(chain.begin(), chain.end());
-  std::string out;
-  for (NodeId n : chain) {
-    if (!out.empty()) out.push_back('/');
-    out.append(TagName(node(n).tag));
-    NodeId parent = node(n).parent;
-    if (parent != kInvalidNode) {
-      int same_tag = 0;
-      int index = 0;
-      for (NodeId sibling = node(parent).first_child;
-           sibling != kInvalidNode; sibling = node(sibling).next_sibling) {
-        const ArenaNode& s = node(sibling);
-        if (s.is_tag() && s.tag == node(n).tag) {
-          ++same_tag;
-          if (sibling == n) index = same_tag;
-        }
-      }
-      if (same_tag > 1) {
-        out.push_back('[');
-        out.append(std::to_string(index));
-        out.push_back(']');
-      }
-    }
-  }
-  return out;
+  return html::PathString(*this, id);
 }
 
 void ArenaTree::AppendSubtreeText(NodeId id, std::string* out) const {
-  // Link-following preorder: identical visit order to TagTree::SubtreeText's
-  // stack walk (sibling links preserve insertion order).
-  NodeId cur = id;
-  while (true) {
+  ForEachInSubtree(id, [&](NodeId cur) {
     const ArenaNode& n = node(cur);
-    if (!n.is_tag()) {
-      if (!out->empty()) out->push_back(' ');
-      out->append(n.text_data, n.text_size);
-    }
-    if (n.first_child != kInvalidNode) {
-      cur = n.first_child;
-      continue;
-    }
-    while (cur != id && node(cur).next_sibling == kInvalidNode) {
-      cur = node(cur).parent;
-    }
-    if (cur == id) break;
-    cur = node(cur).next_sibling;
-  }
+    if (n.is_tag()) return;
+    if (!out->empty()) out->push_back(' ');
+    out->append(n.text_data, n.text_size);
+  });
 }
 
 }  // namespace thor::html

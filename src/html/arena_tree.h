@@ -95,6 +95,49 @@ class ArenaTree {
   int Depth(NodeId id) const { return node(id).depth; }
   int SubtreeSize(NodeId id) const { return node(id).subtree_size; }
 
+  /// Direct children of a node, in document order, read off the sibling
+  /// links.
+  struct ChildRange {
+    struct Iterator {
+      const ArenaNode* nodes;
+      NodeId id;
+      NodeId operator*() const { return id; }
+      Iterator& operator++() {
+        id = nodes[static_cast<size_t>(id)].next_sibling;
+        return *this;
+      }
+      bool operator==(const Iterator&) const = default;
+    };
+    const ArenaNode* nodes;
+    NodeId first;
+    Iterator begin() const { return {nodes, first}; }
+    Iterator end() const { return {nodes, kInvalidNode}; }
+  };
+  ChildRange Children(NodeId id) const {
+    return {nodes_.data(), node(id).first_child};
+  }
+
+  /// Calls `visit(node_id)` for every node of the subtree rooted at `id`,
+  /// in preorder (document order), `id` first. Follows the links, so it
+  /// never depends on node-id order, which head/body synthesis can break.
+  template <typename Visit>
+  void ForEachInSubtree(NodeId id, Visit&& visit) const {
+    NodeId cur = id;
+    while (true) {
+      visit(cur);
+      const ArenaNode& n = node(cur);
+      if (n.first_child != kInvalidNode) {
+        cur = n.first_child;
+        continue;
+      }
+      while (cur != id && node(cur).next_sibling == kInvalidNode) {
+        cur = node(cur).parent;
+      }
+      if (cur == id) return;
+      cur = node(cur).next_sibling;
+    }
+  }
+
   /// Path-symbol string for an interned path id (equals what
   /// TagTree::PathSymbols returns for any node carrying this id).
   std::string_view path(uint32_t path_id) const {

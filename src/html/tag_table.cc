@@ -105,7 +105,9 @@ struct FoldedEqual {
 };
 
 // Names outside the well-known list; the id of `names[i]` is
-// kWellKnownTagCount + i, in order of first arrival.
+// kWellKnownTagCount + i, in order of first arrival, for at most
+// kMaxDynamicTags names. Later names all map to kOverflowTag and are not
+// stored.
 struct Registry {
   // Deque keeps `TagName` references stable while interning grows the
   // table; the map's string keys are the canonical lowercase spellings.
@@ -120,10 +122,12 @@ struct Registry {
       std::shared_lock<std::shared_mutex> lock(mu);
       auto it = ids.find(raw);
       if (it != ids.end()) return it->second;
+      if (full()) return kOverflowTag;
     }
     std::unique_lock<std::shared_mutex> lock(mu);
     auto it = ids.find(raw);
     if (it != ids.end()) return it->second;
+    if (full()) return kOverflowTag;
     TagId id = kWellKnownTagCount + static_cast<TagId>(names.size());
     names.push_back(AsciiLower(raw));
     ids.emplace(names.back(), id);
@@ -133,7 +137,13 @@ struct Registry {
   TagId Find(std::string_view raw) const {
     std::shared_lock<std::shared_mutex> lock(mu);
     auto it = ids.find(raw);
-    return it == ids.end() ? -1 : it->second;
+    if (it != ids.end()) return it->second;
+    return full() ? kOverflowTag : -1;
+  }
+
+  // Caller holds `mu`.
+  bool full() const {
+    return names.size() >= static_cast<size_t>(kMaxDynamicTags);
   }
 };
 
@@ -146,17 +156,26 @@ Registry& GetRegistry() {
 
 TagId InternTag(std::string_view name) {
   TagId id = FindWellKnown(name);
-  return id >= 0 ? id : GetRegistry().Intern(name);
+  if (id >= 0) return id;
+  if (name == kOverflowTagName) return kOverflowTag;
+  return GetRegistry().Intern(name);
 }
 
 TagId FindTag(std::string_view name) {
   TagId id = FindWellKnown(name);
-  return id >= 0 ? id : GetRegistry().Find(name);
+  if (id >= 0) return id;
+  if (name == kOverflowTagName) return kOverflowTag;
+  return GetRegistry().Find(name);
 }
 
 const std::string& TagName(TagId id) {
-  assert(id >= 0);
+  assert(id >= 0 && id <= kOverflowTag);
   if (id < kWellKnownTagCount) return WellKnownName(id);
+  if (id == kOverflowTag) {
+    static const std::string* const name =
+        new std::string(kOverflowTagName);
+    return *name;
+  }
   const Registry& registry = GetRegistry();
   std::shared_lock<std::shared_mutex> lock(registry.mu);
   size_t index = static_cast<size_t>(id - kWellKnownTagCount);
@@ -167,7 +186,8 @@ const std::string& TagName(TagId id) {
 int TagCount() {
   const Registry& registry = GetRegistry();
   std::shared_lock<std::shared_mutex> lock(registry.mu);
-  return kWellKnownTagCount + static_cast<int>(registry.names.size());
+  return kWellKnownTagCount + static_cast<int>(registry.names.size()) +
+         (registry.full() ? 1 : 0);
 }
 
 char TagPathSymbol(TagId id) {

@@ -59,21 +59,40 @@ struct Tag {
 /// Number of well-known tags; every id below it is a `Tag::k*`.
 inline constexpr TagId kWellKnownTagCount = tag_internal::kWellKnownCount;
 
+/// Most names the process-wide registry interns beyond the well-known
+/// list. Any request can carry fresh tag names, so the registry is bounded:
+/// they take ids kWellKnownTagCount .. kOverflowTag - 1 in order of first
+/// arrival, and every new name after that maps to kOverflowTag.
+inline constexpr int kMaxDynamicTags = 4096;
+
+/// The one id shared by every name that arrives once the registry is full.
+inline constexpr TagId kOverflowTag = kWellKnownTagCount + kMaxDynamicTags;
+
+/// `TagName(kOverflowTag)`. No lexer produces it (tag names are built only
+/// from ASCII alphanumerics, '-', '_' and ':'), and interning it returns
+/// kOverflowTag, so a persisted template that carries the id reads back to
+/// the same id.
+inline constexpr std::string_view kOverflowTagName = "#overflow";
+
 /// Interns `name` (case-insensitive; stored lowercased) and returns its id.
 /// A well-known name resolves through the immutable table (no lock, no
 /// allocation); any other name goes through the process-wide registry,
 /// which takes a shared lock, and an exclusive one to add the name.
 TagId InternTag(std::string_view name);
 
-/// Returns the interned id if `name` is already known, or -1. Lock-free for
-/// well-known names, like `InternTag`.
+/// Returns the id `InternTag(name)` would return, or -1 if interning `name`
+/// would add it to the registry. Once the registry is full that is
+/// kOverflowTag for any name it does not hold, so an end tag still closes
+/// an element whose name overflowed. Lock-free for well-known names, like
+/// `InternTag`.
 TagId FindTag(std::string_view name);
 
 /// Returns the canonical lowercase name for an id. `id` must be valid. A
 /// well-known id reads immutable storage without a lock.
 const std::string& TagName(TagId id);
 
-/// Number of distinct tag names interned so far.
+/// Number of distinct tag ids interned so far; once the registry is full,
+/// kOverflowTag counts too, so this never exceeds kOverflowTag + 1.
 int TagCount();
 
 /// Single fixed-length letter used to spell this tag inside a path string
@@ -99,8 +118,9 @@ bool ClosesOnOpen(TagId open_tag, TagId incoming);
 /// from a mismatched end tag (table cells close at table boundaries, etc.).
 bool IsScopeBoundary(TagId id);
 
-/// True for inline formatting elements (b, i, font, span, ...). Used by the
-/// tidy normalizer and by site synthesis.
+/// True for inline formatting elements (b, i, font, span, ...). The
+/// candidate filter never roots a region at one, and does not let one make
+/// its parent a wrapper.
 bool IsInlineTag(TagId id);
 
 }  // namespace thor::html

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/html/tree_read.h"
 #include "src/util/strings.h"
 
 namespace thor::html {
@@ -56,7 +57,6 @@ void TagTree::FinalizeDerived() {
   }
   for (size_t i = nodes_.size(); i-- > 1;) {
     const Node& n = nodes_[i];
-    if (n.parent == kInvalidNode) continue;  // detached (e.g. by Tidy)
     Node& p = nodes_[static_cast<size_t>(n.parent)];
     p.subtree_size += n.subtree_size;
     p.content_length += n.content_length;
@@ -87,35 +87,7 @@ std::string TagTree::PathSymbols(NodeId id) const {
 }
 
 std::string TagTree::PathString(NodeId id) const {
-  // Collect the tag-node chain root -> id.
-  std::vector<NodeId> chain;
-  for (NodeId cur = id; cur != kInvalidNode; cur = node(cur).parent) {
-    if (node(cur).kind == NodeKind::kTag) chain.push_back(cur);
-  }
-  std::reverse(chain.begin(), chain.end());
-  std::string out;
-  for (NodeId n : chain) {
-    if (!out.empty()) out.push_back('/');
-    out.append(TagName(node(n).tag));
-    NodeId parent = node(n).parent;
-    if (parent != kInvalidNode) {
-      int same_tag = 0;
-      int index = 0;
-      for (NodeId sibling : node(parent).children) {
-        const Node& s = node(sibling);
-        if (s.kind == NodeKind::kTag && s.tag == node(n).tag) {
-          ++same_tag;
-          if (sibling == n) index = same_tag;
-        }
-      }
-      if (same_tag > 1) {
-        out.push_back('[');
-        out.append(std::to_string(index));
-        out.push_back(']');
-      }
-    }
-  }
-  return out;
+  return html::PathString(*this, id);
 }
 
 NodeId TagTree::ResolvePath(std::string_view path) const {
@@ -163,36 +135,23 @@ NodeId TagTree::ResolvePath(std::string_view path) const {
 
 std::string TagTree::SubtreeText(NodeId id) const {
   std::string out;
-  std::vector<NodeId> stack = {id};
-  // Iterative preorder with reversed-children push keeps document order.
-  while (!stack.empty()) {
-    NodeId cur = stack.back();
-    stack.pop_back();
-    const Node& n = node(cur);
-    if (n.kind == NodeKind::kContent) {
-      if (!out.empty()) out.push_back(' ');
-      out.append(n.text);
-    }
-    for (size_t i = n.children.size(); i-- > 0;) {
-      stack.push_back(n.children[i]);
-    }
-  }
+  AppendSubtreeText(id, &out);
   return out;
+}
+
+void TagTree::AppendSubtreeText(NodeId id, std::string* out) const {
+  ForEachInSubtree(id, [&](NodeId cur) {
+    const Node& n = node(cur);
+    if (n.kind != NodeKind::kContent) return;
+    if (!out->empty()) out->push_back(' ');
+    out->append(n.text);
+  });
 }
 
 std::vector<NodeId> TagTree::SubtreeNodes(NodeId id) const {
   std::vector<NodeId> out;
   out.reserve(static_cast<size_t>(node(id).subtree_size));
-  std::vector<NodeId> stack = {id};
-  while (!stack.empty()) {
-    NodeId cur = stack.back();
-    stack.pop_back();
-    out.push_back(cur);
-    const Node& n = node(cur);
-    for (size_t i = n.children.size(); i-- > 0;) {
-      stack.push_back(n.children[i]);
-    }
-  }
+  ForEachInSubtree(id, [&](NodeId cur) { out.push_back(cur); });
   return out;
 }
 

@@ -39,6 +39,8 @@ struct Node {
   /// Total bytes of content text within the subtree. Filled by
   /// FinalizeDerived().
   int content_length = 0;
+
+  bool is_tag() const { return kind == NodeKind::kTag; }
 };
 
 /// \brief Arena-backed tag tree (the paper's page model, Section 2).
@@ -82,6 +84,25 @@ class TagTree {
   int Depth(NodeId id) const { return node(id).depth; }
   int SubtreeSize(NodeId id) const { return node(id).subtree_size; }
 
+  /// Direct children of `id`, in document order.
+  const std::vector<NodeId>& Children(NodeId id) const {
+    return node(id).children;
+  }
+
+  /// Calls `visit(node_id)` for every node of the subtree rooted at `id`,
+  /// in preorder (document order), `id` first.
+  template <typename Visit>
+  void ForEachInSubtree(NodeId id, Visit&& visit) const {
+    std::vector<NodeId> stack = {id};
+    while (!stack.empty()) {
+      NodeId cur = stack.back();
+      stack.pop_back();
+      visit(cur);
+      const std::vector<NodeId>& children = node(cur).children;
+      stack.insert(stack.end(), children.rbegin(), children.rend());
+    }
+  }
+
   /// Largest fanout of any node in the tree (cluster-ranking feature).
   int MaxFanout() const;
 
@@ -106,6 +127,10 @@ class TagTree {
   /// Concatenation of all content-node text in the subtree, space-joined in
   /// document order.
   std::string SubtreeText(NodeId id) const;
+
+  /// SubtreeText appended to `out`, with a space before each content text
+  /// whenever `out` is non-empty.
+  void AppendSubtreeText(NodeId id, std::string* out) const;
 
   /// All node ids in the subtree rooted at `id`, preorder, including `id`.
   std::vector<NodeId> SubtreeNodes(NodeId id) const;

@@ -8,6 +8,14 @@
 
 namespace thor::serve {
 
+namespace {
+
+// Adoption lag of the relearn rendezvous, in batches: batch T adopts the
+// relearns enqueued at batches <= T - kRelearnAdoptionLag.
+constexpr uint64_t kRelearnAdoptionLag = 1;
+
+}  // namespace
+
 const char* DriftStateName(DriftState state) {
   switch (state) {
     case DriftState::kHealthy:
@@ -145,16 +153,15 @@ ExtractionService::Response ExtractionService::Extract(
 std::vector<ExtractionService::Response> ExtractionService::ExtractBatch(
     const std::vector<Request>& requests, const Deadline& deadline) {
   // Pass 0: ticketed relearn rendezvous. Batch T adopts every background
-  // relearn enqueued at batch <= T - relearn_sync_batches before it
+  // relearn enqueued at batch <= T - kRelearnAdoptionLag before it
   // resolves anything, which pins the batch a fresh generation first
   // serves from to a position in the request stream — identical at every
   // thread count. Runs without mu_ held: workers finishing jobs only need
   // the manager's own lock.
   uint64_t ticket = batch_ticket_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (options_.relearn_manager != nullptr) {
-    uint64_t lag = static_cast<uint64_t>(
-        std::max(options_.relearn_sync_batches, 0));
-    uint64_t bound = ticket > lag ? ticket - lag : 0;
+    uint64_t bound =
+        ticket > kRelearnAdoptionLag ? ticket - kRelearnAdoptionLag : 0;
     auto ready = options_.relearn_manager->TakeReady(bound, deadline);
     if (!ready.empty()) {
       std::lock_guard<std::mutex> lock(mu_);

@@ -57,15 +57,12 @@ struct ServiceOptions {
   /// request path never runs the pipeline: relearn decisions only
   /// *enqueue* jobs on the manager, misses stand in the emitting batch,
   /// and promoted generations are adopted at the ticketed rendezvous at
-  /// the start of a later batch (see relearn_sync_batches). Null disables
-  /// relearning: misses stay misses.
+  /// the start of the next batch: batch T blocks until all jobs enqueued
+  /// at batches <= T - 1 are finished and adopts their promoted
+  /// generations before resolving, so a generation relearned during batch
+  /// N serves exactly from batch N+1 — at every thread count. Null
+  /// disables relearning: misses stay misses.
   RelearnManager* relearn_manager = nullptr;
-  /// Adoption lag of the rendezvous, in batches: batch T blocks until all
-  /// jobs enqueued at batches <= T - relearn_sync_batches are finished and
-  /// adopts their promoted generations before resolving. Depth 1 means a
-  /// generation relearned during batch N serves exactly from batch N+1 —
-  /// at every thread count.
-  int relearn_sync_batches = 1;
   /// Drift detector: per-request EWMA over the serving signal (miss = 1,
   /// low-confidence hit = 0.5, confident hit = 0). A site is kDrifting at
   /// `drift_warn`, kBroken at `drift_broken`; with alpha 0.1 roughly five

@@ -1,8 +1,9 @@
 // The tag table: the well-known ids are pinned to their positions in one
 // list, the lock-free table and the locked registry agree on every name in
-// any casing, concurrent lookups and interning give each name one id, and
-// the deep-web simulator emits only well-known tags (so serving its pages
-// never touches the registry's lock).
+// any casing, concurrent lookups and interning give each name one id, the
+// deep-web simulator emits only well-known tags (so serving its pages
+// never touches the registry's lock), and the registry is bounded: past
+// kMaxDynamicTags names every new name shares kOverflowTag.
 
 #include "src/html/tag_table.h"
 
@@ -17,6 +18,7 @@
 
 #include "src/deepweb/site_generator.h"
 #include "src/html/arena_parser.h"
+#include "src/html/parser.h"
 #include "src/util/rng.h"
 
 namespace thor::html {
@@ -167,6 +169,91 @@ TEST(TagTableTest, SimulatorPagesUseOnlyWellKnownTags) {
   }
   EXPECT_EQ(pages, 16u * 3u * 4u);
   EXPECT_EQ(TagCount(), before) << "a simulator tag was not well-known";
+}
+
+TEST(TagTableTest, ReservedOverflowNameResolvesToTheOverflowId) {
+  EXPECT_EQ(kOverflowTag, kWellKnownTagCount + kMaxDynamicTags);
+  EXPECT_EQ(TagName(kOverflowTag), kOverflowTagName);
+  EXPECT_EQ(InternTag(kOverflowTagName), kOverflowTag);
+  EXPECT_EQ(FindTag(kOverflowTagName), kOverflowTag);
+  // No lexer spells it: the parser reads "<#overflow>" as text, not a tag.
+  HotParser parser;
+  const ArenaTree& tree = parser.Parse("<#overflow>x</#overflow>");
+  for (NodeId id = 0; id < tree.node_count(); ++id) {
+    EXPECT_NE(tree.node(id).tag, kOverflowTag);
+  }
+}
+
+// Fills the process-wide registry, so it runs last in this file.
+TEST(TagTableTest, RegistryIsBoundedAndNamesPastTheCapShareOneId) {
+  constexpr int kThreads = 4;
+  constexpr int kFresh = kMaxDynamicTags + 1000;
+  const TagId early = InternTag("cap-early-name");
+  ASSERT_LT(early, kOverflowTag);
+  const int before = TagCount();
+  std::vector<std::vector<TagId>> ids(kThreads, std::vector<TagId>(kFresh));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &ids] {
+      // Every thread races to intern the same fresh names, each starting
+      // at its own offset, so the names that win the last slots vary.
+      for (int k = 0; k < kFresh; ++k) {
+        const int name = (k + t * (kFresh / kThreads)) % kFresh;
+        ids[t][name] = InternTag("cap-fresh-" + std::to_string(name));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_LE(TagCount(), kWellKnownTagCount + kMaxDynamicTags + 1);
+  EXPECT_EQ(TagCount(), kOverflowTag + 1);
+  std::map<TagId, std::string> names_by_id;
+  int overflowed = 0;
+  for (int k = 0; k < kFresh; ++k) {
+    const std::string name = "cap-fresh-" + std::to_string(k);
+    const TagId id = ids[0][k];
+    for (int t = 1; t < kThreads; ++t) EXPECT_EQ(ids[t][k], id) << name;
+    EXPECT_EQ(InternTag(name), id) << name;
+    EXPECT_GE(id, kWellKnownTagCount) << name;
+    EXPECT_LE(id, kOverflowTag) << name;
+    if (id == kOverflowTag) {
+      ++overflowed;
+      EXPECT_EQ(FindTag(name), kOverflowTag) << name;
+      continue;
+    }
+    EXPECT_EQ(FindTag(name), id) << name;
+    EXPECT_EQ(TagName(id), name);
+    EXPECT_TRUE(names_by_id.emplace(id, name).second) << "id " << id;
+  }
+  // Exactly the names past the cap share the one overflow id.
+  EXPECT_EQ(static_cast<int>(names_by_id.size()), kOverflowTag - before);
+  EXPECT_EQ(overflowed, kFresh - (kOverflowTag - before));
+  // Ids below the cap did not move, and any further name overflows too.
+  EXPECT_EQ(InternTag("cap-early-name"), early);
+  EXPECT_EQ(TagName(early), "cap-early-name");
+  EXPECT_EQ(FindTag("yet-another-fresh-name"), kOverflowTag);
+  EXPECT_EQ(InternTag("yet-another-fresh-name"), kOverflowTag);
+  EXPECT_EQ(TagCount(), kOverflowTag + 1);
+
+  // Elements whose names overflowed still close at their end tags, on both
+  // parsers alike: here they stay siblings instead of nesting.
+  const char* page = "<body><x-late-a>one</x-late-a><x-late-b>two</x-late-b>";
+  TagTree legacy = ParseHtml(page);
+  HotParser parser;
+  const ArenaTree& hot = parser.Parse(page);
+  ASSERT_EQ(legacy.node_count(), hot.node_count());
+  for (NodeId id = 0; id < legacy.node_count(); ++id) {
+    EXPECT_EQ(legacy.node(id).tag, hot.node(id).tag) << id;
+    EXPECT_EQ(legacy.node(id).parent, hot.node(id).parent) << id;
+  }
+  const NodeId body = legacy.ResolvePath("html/body");
+  ASSERT_NE(body, kInvalidNode);
+  ASSERT_EQ(legacy.Children(body).size(), 2u);
+  for (NodeId child : legacy.Children(body)) {
+    EXPECT_EQ(legacy.node(child).tag, kOverflowTag);
+  }
+  EXPECT_EQ(legacy.PathString(legacy.Children(body)[1]),
+            "html/body/#overflow[2]");
 }
 
 }  // namespace

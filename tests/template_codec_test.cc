@@ -16,7 +16,8 @@ namespace {
 
 // A registry exercising every field the codec carries: two templates,
 // non-default thresholds, weights that do not survive decimal formatting,
-// and an empty stable vector on the second template.
+// an empty stable vector on the second template, and the shared id of tag
+// names that arrived after the tag registry filled (kOverflowTag).
 core::TemplateRegistry MakeRegistry() {
   std::vector<core::ExtractionTemplate> templates;
   core::ExtractionTemplate first;
@@ -39,6 +40,8 @@ core::TemplateRegistry MakeRegistry() {
   second.path_symbols = "ab";
   second.prototype.path_symbols = "ab";
   second.support = 1;
+  second.known_tags =
+      ir::SparseVector::FromPairs({{html::kOverflowTag, 1.0}});
   templates.push_back(second);
   return core::TemplateRegistry::FromTemplates(std::move(templates));
 }
