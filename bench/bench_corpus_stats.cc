@@ -8,7 +8,7 @@
 
 #include "bench/bench_util.h"
 #include "src/core/signature_builder.h"
-#include "src/html/parser.h"
+#include "src/html/arena_parser.h"
 
 namespace thor {
 namespace {
@@ -31,7 +31,7 @@ int Main(int argc, char** argv) {
       distinct_terms += core::DistinctTermCount(page.tree);
       bytes += page.size_bytes;
       parse_seconds += bench::TimeSeconds([&] {
-        html::TagTree reparsed = html::ParseHtml(page.html);
+        html::ArenaTree reparsed = html::ParseArena(page.html);
         (void)reparsed;
       });
     }

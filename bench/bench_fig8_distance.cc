@@ -39,7 +39,7 @@ int Main(int argc, char** argv) {
   for (const auto& variant : variants) {
     core::PrecisionRecall total;
     for (const auto& sample : corpus) {
-      std::vector<const html::TagTree*> trees;
+      std::vector<const html::ArenaTree*> trees;
       std::vector<int> indices;
       // The paper feeds Phase II pages known to contain QA-Pagelets, one
       // structural class at a time (clusters are assumed correct here).

@@ -26,7 +26,7 @@ int Main(int argc, char** argv) {
   for (const auto& sample : corpus) {
     for (deepweb::PageClass wanted :
          {deepweb::PageClass::kMultiMatch, deepweb::PageClass::kSingleMatch}) {
-      std::vector<const html::TagTree*> trees;
+      std::vector<const html::ArenaTree*> trees;
       for (const auto& page : sample.pages) {
         if (page.true_class == wanted) trees.push_back(&page.tree);
       }

@@ -45,9 +45,9 @@ const std::string& MultiMatchHtml() {
   return html;
 }
 
-const html::TagTree& MultiMatchTree() {
+const html::ArenaTree& MultiMatchTree() {
   static const auto& tree =
-      *new html::TagTree(html::ParseHtml(MultiMatchHtml()));
+      *new html::ArenaTree(html::ParseArena(MultiMatchHtml()));
   return tree;
 }
 
@@ -91,7 +91,8 @@ const core::TemplateRegistry& BenchRegistry() {
   return registry;
 }
 
-// The serving hot loop, legacy pipeline: parse + locate per request.
+// The serving hot loop on the legacy parser and tree, the reference the
+// ratio gate divides by: parse + locate per request.
 void BM_ParseLocate(benchmark::State& state) {
   const std::string& html = MultiMatchHtml();
   const core::TemplateRegistry& registry = BenchRegistry();
@@ -124,7 +125,7 @@ void BM_HotParseLocate(benchmark::State& state) {
 BENCHMARK(BM_HotParseLocate);
 
 void BM_TagSignature(benchmark::State& state) {
-  const html::TagTree& tree = MultiMatchTree();
+  const html::ArenaTree& tree = MultiMatchTree();
   for (auto _ : state) {
     auto vector = core::TagCountVector(tree);
     benchmark::DoNotOptimize(vector.size());
@@ -133,7 +134,7 @@ void BM_TagSignature(benchmark::State& state) {
 BENCHMARK(BM_TagSignature);
 
 void BM_TermSignature(benchmark::State& state) {
-  const html::TagTree& tree = MultiMatchTree();
+  const html::ArenaTree& tree = MultiMatchTree();
   for (auto _ : state) {
     ir::Vocabulary vocab;
     auto vector = core::TermCountVector(tree, &vocab);
@@ -201,7 +202,7 @@ void BM_EditDistanceUrls(benchmark::State& state) {
 BENCHMARK(BM_EditDistanceUrls);
 
 void BM_ShapeDistance(benchmark::State& state) {
-  const html::TagTree& tree = MultiMatchTree();
+  const html::ArenaTree& tree = MultiMatchTree();
   auto candidates = core::CandidateSubtrees(tree);
   std::vector<core::ShapeQuad> quads;
   for (html::NodeId id : candidates) {
@@ -218,7 +219,7 @@ void BM_ShapeDistance(benchmark::State& state) {
 BENCHMARK(BM_ShapeDistance);
 
 void BM_SinglePageAnalysis(benchmark::State& state) {
-  const html::TagTree& tree = MultiMatchTree();
+  const html::ArenaTree& tree = MultiMatchTree();
   for (auto _ : state) {
     auto candidates = core::CandidateSubtrees(tree);
     benchmark::DoNotOptimize(candidates.size());
@@ -229,8 +230,8 @@ BENCHMARK(BM_SinglePageAnalysis);
 void BM_ZhangShasha(benchmark::State& state) {
   treedist::OrderedTree a = treedist::OrderedTree::FromTagTree(
       MultiMatchTree(), MultiMatchTree().root());
-  html::TagTree other_tree =
-      html::ParseHtml(BenchSite().Query("guitar").html);
+  html::ArenaTree other_tree =
+      html::ParseArena(BenchSite().Query("guitar").html);
   treedist::OrderedTree b =
       treedist::OrderedTree::FromTagTree(other_tree, other_tree.root());
   for (auto _ : state) {

@@ -3,54 +3,38 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "src/text/term_tokenizer.h"
-
 namespace thor::core {
-
-namespace {
-
-// DistinctTermCount for the pages of one RankClusters call: one analyzer
-// stems each distinct token once, and a page's terms are counted by id.
-// Content nodes hold whitespace-collapsed text and SubtreeText joins them
-// with one space, so tokenising node by node finds the same terms; every
-// stored node hangs off the root, so node storage holds exactly the
-// content nodes the root reaches.
-class DistinctTermCounter {
- public:
-  int Count(const html::TagTree& tree) {
-    ids_.clear();
-    for (html::NodeId id = 0; id < tree.node_count(); ++id) {
-      const html::Node& n = tree.node(id);
-      if (n.kind == html::NodeKind::kContent) {
-        analyzer_.AppendTermIds(n.text, &ids_);
-      }
-    }
-    seen_on_.resize(static_cast<size_t>(analyzer_.num_terms()), 0);
-    ++page_;
-    int distinct = 0;
-    for (int32_t term : ids_) {
-      int& seen = seen_on_[static_cast<size_t>(term)];
-      if (seen == page_) continue;
-      seen = page_;
-      ++distinct;
-    }
-    return distinct;
-  }
-
- private:
-  text::TermAnalyzer analyzer_;
-  std::vector<int32_t> ids_;
-  std::vector<int> seen_on_;  // term id -> last page (by page_) it was on
-  int page_ = 0;
-};
-
-}  // namespace
 
 std::vector<RankedCluster> RankClusters(const std::vector<Page>& pages,
                                         const std::vector<int>& assignment,
                                         int k,
                                         const ClusterRankOptions& options) {
-  DistinctTermCounter distinct_terms;
+  std::vector<const html::ArenaTree*> trees;
+  trees.reserve(pages.size());
+  for (const Page& page : pages) trees.push_back(&page.tree);
+  return RankClusters(pages, assignment, k, PageTerms(trees), options);
+}
+
+std::vector<RankedCluster> RankClusters(const std::vector<Page>& pages,
+                                        const std::vector<int>& assignment,
+                                        int k, const PageTerms& terms,
+                                        const ClusterRankOptions& options) {
+  // DistinctTermCount per page, by id: content nodes hold
+  // whitespace-collapsed text and SubtreeText joins them with one space,
+  // so tokenising node by node finds the same terms; every stored node
+  // hangs off the root, so node storage holds exactly the content nodes
+  // the root reaches.
+  std::vector<int> seen_on(static_cast<size_t>(terms.num_terms()), -1);
+  auto distinct_terms = [&](size_t page) {
+    int distinct = 0;
+    for (int32_t term : terms.PageTermIds(page)) {
+      int& seen = seen_on[static_cast<size_t>(term)];
+      if (seen == static_cast<int>(page)) continue;
+      seen = static_cast<int>(page);
+      ++distinct;
+    }
+    return distinct;
+  };
   std::vector<RankedCluster> ranked;
   for (int c = 0; c < k; ++c) {
     RankedCluster rc;
@@ -58,7 +42,7 @@ std::vector<RankedCluster> RankClusters(const std::vector<Page>& pages,
     for (size_t i = 0; i < pages.size() && i < assignment.size(); ++i) {
       if (assignment[i] != c) continue;
       ++rc.num_pages;
-      rc.avg_distinct_terms += distinct_terms.Count(pages[i].tree);
+      rc.avg_distinct_terms += distinct_terms(i);
       rc.avg_max_fanout += pages[i].tree.MaxFanout();
       rc.avg_page_size += pages[i].size_bytes;
     }

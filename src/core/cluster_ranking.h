@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/core/page.h"
+#include "src/core/page_terms.h"
 
 namespace thor::core {
 
@@ -33,6 +34,13 @@ std::vector<RankedCluster> RankClusters(const std::vector<Page>& pages,
                                         const std::vector<int>& assignment,
                                         int k,
                                         const ClusterRankOptions& options = {});
+
+/// The same ranking over terms already analysed with the default
+/// `text::TermOptions`: page i of `terms` is `pages[i]`.
+std::vector<RankedCluster> RankClusters(const std::vector<Page>& pages,
+                                        const std::vector<int>& assignment,
+                                        int k, const PageTerms& terms,
+                                        const ClusterRankOptions& options);
 
 }  // namespace thor::core
 

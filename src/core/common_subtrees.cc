@@ -10,17 +10,20 @@
 
 namespace thor::core {
 
-ShapeQuad MakeShapeQuad(const html::TagTree& tree, html::NodeId node) {
-  ShapeQuad quad;
-  AssignShapeQuad(tree, node, &quad);
-  return quad;
-}
-
 namespace {
+
+// One candidate's shape: a ShapeQuad whose path is a view of its tree's
+// path table, so building it copies no string.
+struct CandidateShape {
+  std::string_view path_symbols;
+  int fanout = 0;
+  int depth = 0;
+  int num_nodes = 0;
+};
 
 // Interns path-symbol strings to dense ids so edit distances can be cached
 // per distinct pair instead of per candidate pair. Views point into the
-// quads, which outlive the table.
+// trees' path tables, which outlive the table.
 class PathInterner {
  public:
   int Intern(std::string_view path) {
@@ -52,7 +55,7 @@ double ShapeDistance(const ShapeQuad& a, const ShapeQuad& b,
 }
 
 std::vector<CommonSubtreeSet> FindCommonSubtreeSets(
-    const std::vector<const html::TagTree*>& trees,
+    const std::vector<const html::ArenaTree*>& trees,
     const std::vector<std::vector<html::NodeId>>& candidates,
     const CommonSubtreeOptions& options) {
   std::vector<CommonSubtreeSet> sets;
@@ -84,14 +87,16 @@ std::vector<CommonSubtreeSet> FindCommonSubtreeSets(
 
   // Quadruples for every page's candidates, pages in parallel (each task
   // writes only its own page's slot).
-  std::vector<std::vector<ShapeQuad>> quads(trees.size());
+  std::vector<std::vector<CandidateShape>> quads(trees.size());
   ParallelFor(
       trees.size(),
       [&](size_t page) {
+        const html::ArenaTree& tree = *trees[page];
         const auto& page_candidates = candidates[page];
         quads[page].reserve(page_candidates.size());
         for (html::NodeId node : page_candidates) {
-          quads[page].push_back(MakeShapeQuad(*trees[page], node));
+          quads[page].push_back({tree.PathSymbols(node), tree.Fanout(node),
+                                 tree.Depth(node), tree.SubtreeSize(node)});
         }
       },
       options.threads);
@@ -110,7 +115,7 @@ std::vector<CommonSubtreeSet> FindCommonSubtreeSets(
   PathInterner interner;
   std::vector<int> proto_path_ids;
   proto_path_ids.reserve(proto_quads.size());
-  for (const ShapeQuad& quad : proto_quads) {
+  for (const CandidateShape& quad : proto_quads) {
     proto_path_ids.push_back(interner.Intern(quad.path_symbols));
   }
   int num_proto_paths = interner.size();
@@ -118,7 +123,7 @@ std::vector<CommonSubtreeSet> FindCommonSubtreeSets(
   for (size_t page = 0; page < trees.size(); ++page) {
     if (static_cast<int>(page) == prototype) continue;
     page_path_ids[page].reserve(quads[page].size());
-    for (const ShapeQuad& quad : quads[page]) {
+    for (const CandidateShape& quad : quads[page]) {
       page_path_ids[page].push_back(interner.Intern(quad.path_symbols));
     }
   }

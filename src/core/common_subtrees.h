@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "src/html/tag_tree.h"
+#include "src/html/arena_tree.h"
 #include "src/html/tree_read.h"
 #include "src/util/metrics.h"
 
@@ -39,7 +39,12 @@ void AssignShapeQuad(const Tree& tree, html::NodeId node, ShapeQuad* quad) {
 }
 
 /// Builds the quadruple for the subtree of `tree` rooted at `node`.
-ShapeQuad MakeShapeQuad(const html::TagTree& tree, html::NodeId node);
+template <html::ReadableTree Tree>
+ShapeQuad MakeShapeQuad(const Tree& tree, html::NodeId node) {
+  ShapeQuad quad;
+  AssignShapeQuad(tree, node, &quad);
+  return quad;
+}
 
 /// Term weights of the shape distance; must sum to 1 for the distance to
 /// stay within [0, 1]. The paper starts with equal weights.
@@ -134,7 +139,7 @@ struct CommonSubtreeOptions {
 ///
 /// `candidates[i]` are the single-page-analysis survivors of `trees[i]`.
 std::vector<CommonSubtreeSet> FindCommonSubtreeSets(
-    const std::vector<const html::TagTree*>& trees,
+    const std::vector<const html::ArenaTree*>& trees,
     const std::vector<std::vector<html::NodeId>>& candidates,
     const CommonSubtreeOptions& options = {});
 

@@ -6,7 +6,7 @@
 
 namespace thor::core {
 
-bool PageletMatches(const html::TagTree& tree, html::NodeId extracted,
+bool PageletMatches(const html::ArenaTree& tree, html::NodeId extracted,
                     html::NodeId truth, const EvalOptions& options) {
   if (extracted == html::kInvalidNode || truth == html::kInvalidNode) {
     return false;
@@ -28,13 +28,8 @@ std::vector<Page> ToPages(const deepweb::SiteSample& sample) {
   std::vector<Page> pages;
   pages.reserve(sample.pages.size());
   for (const deepweb::LabeledPage& lp : sample.pages) {
-    Page page;
-    page.url = lp.url;
-    page.html = lp.html;
-    page.tree = lp.tree;  // copy: node ids stay aligned with ground truth
-    page.size_bytes = lp.size_bytes;
-    page.from_nonsense_probe = lp.from_nonsense_probe;
-    pages.push_back(std::move(page));
+    pages.push_back(Page{lp.url, lp.html, lp.tree, lp.size_bytes,
+                         lp.from_nonsense_probe});
   }
   return pages;
 }

@@ -20,7 +20,7 @@ struct EvalOptions {
 
 /// True when `extracted` identifies the same region as `truth` under the
 /// given policy.
-bool PageletMatches(const html::TagTree& tree, html::NodeId extracted,
+bool PageletMatches(const html::ArenaTree& tree, html::NodeId extracted,
                     html::NodeId truth, const EvalOptions& options = {});
 
 /// Micro-averaged precision/recall counters, accumulable across sites.
@@ -42,8 +42,8 @@ struct PrecisionRecall {
   }
 };
 
-/// Copies a labeled sample into pipeline input pages (trees are reused,
-/// not re-parsed).
+/// Copies a labeled sample into pipeline input pages (trees are copied,
+/// not re-parsed, so node ids stay aligned with the ground truth).
 std::vector<Page> ToPages(const deepweb::SiteSample& sample);
 
 /// Scores a full THOR run against the sample's ground truth.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/core/signature_builder.h"
 #include "src/text/edit_distance.h"
 
 namespace thor::core {
@@ -32,15 +33,7 @@ const html::ArenaTree& HotExtractor::Parse(std::string_view html,
 }
 
 ir::SparseVector HotExtractor::PageTagCounts() const {
-  const html::ArenaTree& tree = parser_.tree();
-  std::vector<ir::VectorEntry> entries;
-  entries.reserve(tree.distinct_tags().size());
-  for (html::TagId tag : tree.distinct_tags()) {
-    entries.push_back({tag, static_cast<double>(tree.TagCountOf(tag))});
-  }
-  // FromPairs sorts by id and recomputes the norm over sorted entries —
-  // exactly what TagCountVector's FromCounts path produces.
-  return ir::SparseVector::FromPairs(std::move(entries));
+  return TagCountVector(parser_.tree());
 }
 
 bool HotExtractor::PassesStableGate(const html::ArenaTree& tree,
@@ -72,7 +65,7 @@ double HotExtractor::PathTerm(const html::ArenaTree& tree,
   if (slot < 0.0) {
     std::string_view path = tree.path(path_id);
     // Compare the symbol *strings*, not path ids: the 62-symbol alphabet
-    // aliases distinct tag chains, and the legacy distance treats aliased
+    // aliases distinct tag chains, and LocateDetailed's distance treats aliased
     // paths as equal.
     slot = (path == tmpl.prototype.path_symbols)
                ? 0.0
@@ -114,7 +107,7 @@ TemplateRegistry::Located HotExtractor::Locate(
     term_memo_.assign(tree.path_count(), -1.0);
     html::NodeId best = html::kInvalidNode;
     double best_distance = tmpl.max_distance;
-    // Exact-path candidates first (<= keeps the last tie, like legacy).
+    // Exact-path candidates first (<= keeps the last tie, like LocateDetailed).
     for (size_t i = 0; i < quads_.size(); ++i) {
       uint32_t p = quads_[i].path_id;
       uint8_t& exact_flag = exact_memo_[p];

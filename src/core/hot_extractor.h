@@ -47,14 +47,13 @@ class CompiledTemplates {
 
 /// \brief One-pass parse → signature → locate → partition engine.
 ///
-/// Produces results bit-identical to the legacy pipeline
-/// (Page::Parse + TemplateRegistry::LocateDetailed + PartitionObjects +
+/// Produces results bit-identical to the reference pipeline
+/// (ParseHtml + TemplateRegistry::LocateDetailed + PartitionObjects +
 /// ObjectTexts) — the contract the differential harness enforces — while
 /// reusing one arena, one parser, and all scratch buffers across calls.
 /// The candidate filter (`IsCandidateRoot`), the shape arithmetic, Stage 3
-/// (`PartitionInto`) and the object text are the legacy pipeline's own
-/// templates instantiated on the ArenaTree; only parse, the fused
-/// signature and Locate are specific to this path. Locate's path
+/// (`PartitionInto`) and the object text are the templates learning runs
+/// too; only Locate is specific to this path. Locate's path
 /// comparisons run on the page-local interned path table: the exact-path
 /// flag and the prototype edit-distance term are computed once per
 /// distinct path id per template instead of once per candidate.
@@ -68,7 +67,7 @@ class HotExtractor {
     bool hit = false;
     /// Same fields (bitwise) as TemplateRegistry::LocateDetailed.
     TemplateRegistry::Located located;
-    /// TagTree::PathString of the pagelet (empty on a miss).
+    /// PathString of the pagelet (empty on a miss).
     std::string pagelet_path;
     /// ObjectTexts of the partitioned pagelet (empty on a miss).
     std::vector<std::string> objects;
@@ -86,8 +85,8 @@ class HotExtractor {
   TemplateRegistry::Located Locate(const html::ArenaTree& tree,
                                    const CompiledTemplates& templates,
                                    const TemplateApplyOptions& apply = {});
-  /// Whole-page tag-count signature of the last parsed tree; bit-identical
-  /// to signature_builder's TagCountVector on the legacy tree.
+  /// Whole-page tag-count signature of the last parsed tree
+  /// (`TagCountVector`, read off the fused counts).
   ir::SparseVector PageTagCounts() const;
 
  private:

@@ -10,7 +10,7 @@ namespace {
 
 // True when the content leaf sits under an emphasis or anchor element
 // (within the object), marking title-like text.
-bool IsEmphasized(const html::TagTree& tree, html::NodeId leaf,
+bool IsEmphasized(const html::ArenaTree& tree, html::NodeId leaf,
                   html::NodeId object_root) {
   for (html::NodeId cur = tree.node(leaf).parent;
        cur != html::kInvalidNode && cur != object_root;
@@ -28,12 +28,11 @@ bool IsEmphasized(const html::TagTree& tree, html::NodeId leaf,
 
 // True when the leaf has an ancestor with tag `wanted` inside the object
 // (including the object part itself).
-bool UnderTag(const html::TagTree& tree, html::NodeId leaf,
+bool UnderTag(const html::ArenaTree& tree, html::NodeId leaf,
               html::NodeId part, html::TagId wanted) {
   for (html::NodeId cur = leaf; cur != html::kInvalidNode;
        cur = tree.node(cur).parent) {
-    if (tree.node(cur).kind == html::NodeKind::kTag &&
-        tree.node(cur).tag == wanted) {
+    if (tree.node(cur).is_tag() && tree.node(cur).tag == wanted) {
       return true;
     }
     if (cur == part) break;
@@ -44,10 +43,9 @@ bool UnderTag(const html::TagTree& tree, html::NodeId leaf,
 // A <dt>/<th> leaf acts as a field label for the following value leaf —
 // the definition-list / field-table idiom — unless it is linked text (a
 // result listing's record title) or too long to be a label.
-bool IsFieldLabelLeaf(const html::TagTree& tree, html::NodeId leaf,
+bool IsFieldLabelLeaf(const html::ArenaTree& tree, html::NodeId leaf,
                       html::NodeId part) {
-  const html::Node& n = tree.node(leaf);
-  if (n.text.size() > 24) return false;
+  if (tree.node(leaf).text_size > 24) return false;
   if (UnderTag(tree, leaf, part, html::Tag::kA)) return false;
   return UnderTag(tree, leaf, part, html::Tag::kDt) ||
          UnderTag(tree, leaf, part, html::Tag::kTh);
@@ -132,48 +130,48 @@ const char* FieldTypeName(FieldType type) {
   return "unknown";
 }
 
-std::vector<QaField> PartitionFields(const html::TagTree& tree,
+std::vector<QaField> PartitionFields(const html::ArenaTree& tree,
                                      const ObjectSpan& object) {
   std::vector<QaField> fields;
   bool have_title = false;
   std::string pending_label;
   for (html::NodeId part : object.parts) {
-    for (html::NodeId leaf : tree.SubtreeNodes(part)) {
-      const html::Node& n = tree.node(leaf);
-      if (n.kind != html::NodeKind::kContent) continue;
+    tree.ForEachInSubtree(part, [&](html::NodeId leaf) {
+      const html::ArenaNode& n = tree.node(leaf);
+      if (n.is_tag()) return;
+      const std::string_view text = n.text();
       // Definition-list / field-table idiom: a plain dt/th leaf labels the
       // next leaf.
       if (pending_label.empty() && IsFieldLabelLeaf(tree, leaf, part)) {
-        pending_label = n.text;
-        continue;
+        pending_label = text;
+        return;
       }
       QaField field;
-      field.value = n.text;
+      field.value = text;
       std::string label;
       std::string value;
       if (!pending_label.empty()) {
         field.type = FieldType::kLabeled;
         field.label = std::move(pending_label);
         pending_label.clear();
-        ParsePrice(n.text, &field.number) ||
-            ParseRating(n.text, &field.number) ||
-            ParseYear(n.text, &field.number);
+        ParsePrice(text, &field.number) || ParseRating(text, &field.number) ||
+            ParseYear(text, &field.number);
       } else if (!have_title && IsEmphasized(tree, leaf, part)) {
         field.type = FieldType::kTitle;
         have_title = true;
-      } else if (SplitLabeled(n.text, &label, &value)) {
+      } else if (SplitLabeled(text, &label, &value)) {
         field.type = FieldType::kLabeled;
         field.label = std::move(label);
         field.value = std::move(value);
-      } else if (ParsePrice(n.text, &field.number)) {
+      } else if (ParsePrice(text, &field.number)) {
         field.type = FieldType::kPrice;
-      } else if (ParseRating(n.text, &field.number)) {
+      } else if (ParseRating(text, &field.number)) {
         field.type = FieldType::kRating;
-      } else if (ParseYear(n.text, &field.number)) {
+      } else if (ParseYear(text, &field.number)) {
         field.type = FieldType::kYear;
       }
       fields.push_back(std::move(field));
-    }
+    });
   }
   // A dangling label with no value leaf is still content.
   if (!pending_label.empty()) {
@@ -203,7 +201,7 @@ std::vector<QaField> PartitionFields(const html::TagTree& tree,
 }
 
 std::vector<std::vector<QaField>> PartitionAllFields(
-    const html::TagTree& tree, const std::vector<ObjectSpan>& objects) {
+    const html::ArenaTree& tree, const std::vector<ObjectSpan>& objects) {
   std::vector<std::vector<QaField>> all;
   all.reserve(objects.size());
   for (const ObjectSpan& object : objects) {

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "src/core/object_partition.h"
-#include "src/html/tag_tree.h"
+#include "src/html/arena_tree.h"
 
 namespace thor::core {
 
@@ -38,12 +38,12 @@ struct QaField {
 /// linked leading text is the title; "Label: value" segments become
 /// labeled pairs; currency, year and rating patterns are typed; remaining
 /// prose is kText.
-std::vector<QaField> PartitionFields(const html::TagTree& tree,
+std::vector<QaField> PartitionFields(const html::ArenaTree& tree,
                                      const ObjectSpan& object);
 
 /// Convenience over all objects of a pagelet.
 std::vector<std::vector<QaField>> PartitionAllFields(
-    const html::TagTree& tree, const std::vector<ObjectSpan>& objects);
+    const html::ArenaTree& tree, const std::vector<ObjectSpan>& objects);
 
 }  // namespace thor::core
 

@@ -9,41 +9,21 @@ namespace thor::core {
 namespace {
 
 // The text of SubtreeText(node) before its first space, without building
-// that text. Content nodes hold whitespace-collapsed text and SubtreeText
-// joins the non-empty ones with one space, so this is the first non-empty
-// content node in preorder, up to its first space.
-std::string_view FirstToken(const html::TagTree& tree, html::NodeId node) {
-  std::vector<html::NodeId> stack = {node};
-  while (!stack.empty()) {
-    const html::Node& n = tree.node(stack.back());
-    stack.pop_back();
-    if (n.kind == html::NodeKind::kContent) {
-      if (n.text.empty()) continue;
-      std::string_view text = n.text;
-      return text.substr(0, text.find(' '));
-    }
-    stack.insert(stack.end(), n.children.rbegin(), n.children.rend());
-  }
-  return {};
+// that text. Content nodes hold whitespace-collapsed, never-empty text and
+// SubtreeText joins them with one space, so this is the first content node
+// in preorder, up to its first space.
+std::string_view FirstToken(const html::ArenaTree& tree, html::NodeId node) {
+  std::string_view first;
+  bool found = false;
+  tree.ForEachInSubtree(node, [&](html::NodeId id) {
+    if (found || tree.node(id).is_tag()) return;
+    first = tree.node(id).text();
+    found = true;
+  });
+  return first.substr(0, first.find(' '));
 }
 
 }  // namespace
-
-std::vector<ObjectSpan> PartitionObjects(
-    const html::TagTree& tree, html::NodeId pagelet,
-    const std::vector<html::NodeId>& hints,
-    const ObjectPartitionOptions& options) {
-  std::vector<ObjectSpan> objects;
-  if (pagelet == html::kInvalidNode) return objects;
-  FlatObjects flat;
-  PartitionInto(tree, pagelet, hints, options, &flat);
-  objects.resize(flat.size());
-  for (size_t k = 0; k < flat.size(); ++k) {
-    std::span<const html::NodeId> parts = flat.object(k);
-    objects[k].parts.assign(parts.begin(), parts.end());
-  }
-  return objects;
-}
 
 bool CollapseFieldRowObjects(std::vector<PageObjects>* pages,
                              double stable_fraction_threshold,
@@ -91,15 +71,6 @@ bool CollapseFieldRowObjects(std::vector<PageObjects>* pages,
     page.objects.assign(1, std::move(whole));
   }
   return true;
-}
-
-std::vector<std::string> ObjectTexts(const html::TagTree& tree,
-                                     const std::vector<ObjectSpan>& objects) {
-  std::vector<std::string> texts(objects.size());
-  for (size_t k = 0; k < objects.size(); ++k) {
-    AppendObjectText(tree, objects[k].parts, &texts[k]);
-  }
-  return texts;
 }
 
 }  // namespace thor::core

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "src/core/common_subtrees.h"
-#include "src/html/tag_tree.h"
+#include "src/html/arena_tree.h"
 #include "src/html/tree_read.h"
 
 namespace thor::core {
@@ -62,7 +62,8 @@ struct FlatObjects {
 enum class PartitionRule { kPeriod, kShapeGroup, kWholePagelet };
 
 /// \brief Stage 3: partitions a QA-Pagelet into itemized QA-Objects,
-/// written once for learning's `TagTree` and serving's `ArenaTree`.
+/// written once over `html::ReadableTree` (learning and serving read the
+/// ArenaTree, the differential tests also the legacy TagTree).
 ///
 /// Detects the repeated structure among the pagelet root's tag children
 /// that carry content: first by exact repeated tag-period (handles table
@@ -172,18 +173,37 @@ void AppendObjectText(const Tree& tree, std::span<const html::NodeId> parts,
 
 /// `PartitionInto` as one `ObjectSpan` per object; no objects when
 /// `pagelet` is kInvalidNode.
+template <html::ReadableTree Tree>
 std::vector<ObjectSpan> PartitionObjects(
-    const html::TagTree& tree, html::NodeId pagelet,
+    const Tree& tree, html::NodeId pagelet,
     const std::vector<html::NodeId>& hints = {},
-    const ObjectPartitionOptions& options = {});
+    const ObjectPartitionOptions& options = {}) {
+  std::vector<ObjectSpan> objects;
+  if (pagelet == html::kInvalidNode) return objects;
+  FlatObjects flat;
+  PartitionInto(tree, pagelet, hints, options, &flat);
+  objects.resize(flat.size());
+  for (size_t k = 0; k < flat.size(); ++k) {
+    std::span<const html::NodeId> parts = flat.object(k);
+    objects[k].parts.assign(parts.begin(), parts.end());
+  }
+  return objects;
+}
 
 /// Convenience: the concatenated text of each object.
-std::vector<std::string> ObjectTexts(const html::TagTree& tree,
-                                     const std::vector<ObjectSpan>& objects);
+template <html::ReadableTree Tree>
+std::vector<std::string> ObjectTexts(const Tree& tree,
+                                     const std::vector<ObjectSpan>& objects) {
+  std::vector<std::string> texts(objects.size());
+  for (size_t k = 0; k < objects.size(); ++k) {
+    AppendObjectText(tree, objects[k].parts, &texts[k]);
+  }
+  return texts;
+}
 
 /// One page's pagelet and partitioned objects, for cross-page validation.
 struct PageObjects {
-  const html::TagTree* tree = nullptr;
+  const html::ArenaTree* tree = nullptr;
   html::NodeId pagelet = html::kInvalidNode;
   std::vector<ObjectSpan> objects;
 };

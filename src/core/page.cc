@@ -7,7 +7,7 @@ Page Page::Parse(std::string url, std::string html,
   Page page;
   page.url = std::move(url);
   page.size_bytes = static_cast<int>(html.size());
-  page.tree = html::ParseHtml(html, options);
+  page.tree = html::ParseArena(html, options);
   page.html = std::move(html);
   return page;
 }

@@ -4,8 +4,8 @@
 #include <string>
 #include <string_view>
 
-#include "src/html/parser.h"
-#include "src/html/tag_tree.h"
+#include "src/html/arena_parser.h"
+#include "src/html/arena_tree.h"
 
 namespace thor::core {
 
@@ -16,14 +16,15 @@ namespace thor::core {
 struct Page {
   std::string url;
   std::string html;
-  html::TagTree tree;
+  html::ArenaTree tree;
   int size_bytes = 0;
   /// Stage-1 knowledge: this page answers a nonsense probe word, so it is
   /// a "no matches" (or error) page by construction. RunThor uses the flag
   /// to veto the cluster these pages dominate.
   bool from_nonsense_probe = false;
 
-  /// Parses `html` (tidy-equivalent error recovery included) into a Page.
+  /// Parses `html` (tidy-equivalent error recovery included) into a Page,
+  /// with this thread's HotParser (`html::ParseArena`).
   static Page Parse(std::string url, std::string html,
                     const html::ParseOptions& options = {});
 };

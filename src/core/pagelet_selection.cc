@@ -23,7 +23,7 @@ std::unordered_map<int, std::vector<html::NodeId>> DynamicRootsByPage(
 // The innermost dynamic nodes of one page: dynamic roots containing no
 // other dynamic root. These approximate the raw query answers.
 std::vector<html::NodeId> InnermostDynamic(
-    const html::TagTree& tree, const std::vector<html::NodeId>& roots) {
+    const html::ArenaTree& tree, const std::vector<html::NodeId>& roots) {
   std::vector<html::NodeId> innermost;
   for (html::NodeId a : roots) {
     bool contains_other = false;
@@ -41,7 +41,7 @@ std::vector<html::NodeId> InnermostDynamic(
 }  // namespace
 
 std::vector<ExtractedPagelet> SelectPagelets(
-    const std::vector<const html::TagTree*>& trees,
+    const std::vector<const html::ArenaTree*>& trees,
     const std::vector<RankedSubtreeSet>& ranked_sets,
     const PageletSelectionOptions& options) {
   std::vector<ExtractedPagelet> out;
@@ -77,7 +77,7 @@ std::vector<ExtractedPagelet> SelectPagelets(
     s.set = &rs;
     int usable = 0;
     for (const SubtreeRef& ref : rs.set.members) {
-      const html::TagTree& tree =
+      const html::ArenaTree& tree =
           *trees[static_cast<size_t>(ref.page_index)];
       double fraction = static_cast<double>(tree.SubtreeSize(ref.node)) /
                         tree.node(tree.root()).subtree_size;
@@ -117,7 +117,7 @@ std::vector<ExtractedPagelet> SelectPagelets(
        ++rank) {
     const Scored& winner = qualifying[static_cast<size_t>(rank)];
     for (const SubtreeRef& ref : winner.set->set.members) {
-      const html::TagTree& tree =
+      const html::ArenaTree& tree =
           *trees[static_cast<size_t>(ref.page_index)];
       double fraction = static_cast<double>(tree.SubtreeSize(ref.node)) /
                         tree.node(tree.root()).subtree_size;

@@ -48,7 +48,7 @@ struct ExtractedPagelet {
 /// not a page-level wrapper that additionally swallows rotating ads and
 /// echoed-query headings.
 std::vector<ExtractedPagelet> SelectPagelets(
-    const std::vector<const html::TagTree*>& trees,
+    const std::vector<const html::ArenaTree*>& trees,
     const std::vector<RankedSubtreeSet>& ranked_sets,
     const PageletSelectionOptions& options = {});
 

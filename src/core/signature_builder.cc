@@ -1,49 +1,33 @@
 #include "src/core/signature_builder.h"
 
-#include <unordered_map>
-
 namespace thor::core {
 
-ir::SparseVector TagCountVector(const html::TagTree& tree,
-                                html::NodeId root) {
-  std::unordered_map<int32_t, int> counts;
-  for (html::NodeId id : tree.SubtreeNodes(root)) {
-    const html::Node& n = tree.node(id);
-    if (n.kind == html::NodeKind::kTag) ++counts[n.tag];
-  }
-  return ir::SparseVector::FromCounts(counts);
-}
-
-ir::SparseVector TagCountVector(const html::TagTree& tree) {
-  return TagCountVector(tree, tree.root());
-}
-
-ir::SparseVector TermCountVector(const html::TagTree& tree,
+ir::SparseVector TermCountVector(const html::ArenaTree& tree,
                                  html::NodeId root, ir::Vocabulary* vocab,
                                  const text::TermOptions& options) {
   std::unordered_map<int32_t, int> counts;
-  for (html::NodeId id : tree.SubtreeNodes(root)) {
-    const html::Node& n = tree.node(id);
-    if (n.kind != html::NodeKind::kContent) continue;
-    for (const std::string& term : text::ExtractTerms(n.text, options)) {
+  tree.ForEachInSubtree(root, [&](html::NodeId id) {
+    const html::ArenaNode& n = tree.node(id);
+    if (n.is_tag()) return;
+    for (const std::string& term : text::ExtractTerms(n.text(), options)) {
       ++counts[vocab->Intern(term)];
     }
-  }
+  });
   return ir::SparseVector::FromCounts(counts);
 }
 
-ir::SparseVector TermCountVector(const html::TagTree& tree,
+ir::SparseVector TermCountVector(const html::ArenaTree& tree,
                                  ir::Vocabulary* vocab,
                                  const text::TermOptions& options) {
   return TermCountVector(tree, tree.root(), vocab, options);
 }
 
-int DistinctTermCount(const html::TagTree& tree) {
+int DistinctTermCount(const html::ArenaTree& tree) {
   return text::CountDistinctTerms(tree.SubtreeText(tree.root()));
 }
 
-int DistinctTagCount(const html::TagTree& tree) {
-  return static_cast<int>(TagCountVector(tree).size());
+int DistinctTagCount(const html::ArenaTree& tree) {
+  return static_cast<int>(tree.distinct_tags().size());
 }
 
 }  // namespace thor::core

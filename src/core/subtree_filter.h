@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "src/html/tag_tree.h"
 #include "src/html/tree_read.h"
 
 namespace thor::core {
@@ -38,7 +37,8 @@ struct SubtreeFilterOptions {
 /// subtrees, drop non-minimal subtrees whose entire content lives in a
 /// single child (the child is the better candidate), and require local
 /// branching at the root. The page root itself is never a candidate.
-/// Written once for learning's `TagTree` and serving's `ArenaTree`.
+/// Written once over `html::ReadableTree`: learning and serving read the
+/// ArenaTree, the differential tests also the legacy TagTree.
 template <html::ReadableTree Tree>
 bool IsCandidateRoot(const Tree& tree, html::NodeId id,
                      const SubtreeFilterOptions& options) {
@@ -81,8 +81,15 @@ bool IsCandidateRoot(const Tree& tree, html::NodeId id,
 
 /// The candidate subtrees of one page (`IsCandidateRoot`), in document
 /// order.
+template <html::ReadableTree Tree>
 std::vector<html::NodeId> CandidateSubtrees(
-    const html::TagTree& tree, const SubtreeFilterOptions& options = {});
+    const Tree& tree, const SubtreeFilterOptions& options = {}) {
+  std::vector<html::NodeId> candidates;
+  tree.ForEachInSubtree(tree.root(), [&](html::NodeId id) {
+    if (IsCandidateRoot(tree, id, options)) candidates.push_back(id);
+  });
+  return candidates;
+}
 
 }  // namespace thor::core
 

@@ -11,64 +11,33 @@ namespace thor::core {
 
 namespace {
 
-// The term ids of every content node of every tree, from one TermAnalyzer:
-// each node is tokenised once and each distinct token stemmed once, however
-// many sets share the node. Node n of tree t owns
-// ids[begin[t][n], begin[t][n + 1]).
-struct AnalyzedTrees {
-  std::vector<std::vector<size_t>> begin;
-  std::vector<int32_t> ids;
-  int num_terms = 0;
-};
-
-AnalyzedTrees AnalyzeTrees(const std::vector<const html::TagTree*>& trees,
-                           const text::TermOptions& options) {
-  text::TermAnalyzer analyzer(options);
-  AnalyzedTrees analyzed;
-  analyzed.begin.reserve(trees.size());
-  for (const html::TagTree* tree : trees) {
-    std::vector<size_t>& begin = analyzed.begin.emplace_back();
-    begin.reserve(static_cast<size_t>(tree->node_count()) + 1);
-    for (html::NodeId id = 0; id < tree->node_count(); ++id) {
-      begin.push_back(analyzed.ids.size());
-      const html::Node& n = tree->node(id);
-      if (n.kind == html::NodeKind::kContent) {
-        analyzer.AppendTermIds(n.text, &analyzed.ids);
-      }
-    }
-    begin.push_back(analyzed.ids.size());
-  }
-  analyzed.num_terms = analyzer.num_terms();
-  return analyzed;
-}
-
 // Raw term-count vectors of the set's members. Term ids are renumbered per
 // set in first-encounter order (members in set order, nodes in preorder,
 // terms in text order): the order a fresh per-set vocabulary would intern
 // them in, so every vector, and every weight and cosine built on it, is the
 // same as interning the terms' strings.
 std::vector<ir::SparseVector> MemberTermCounts(
-    const std::vector<const html::TagTree*>& trees,
-    const CommonSubtreeSet& set, const AnalyzedTrees& analyzed) {
-  std::vector<int32_t> local_id(static_cast<size_t>(analyzed.num_terms), -1);
+    const std::vector<const html::ArenaTree*>& trees,
+    const CommonSubtreeSet& set, const PageTerms& terms,
+    const std::vector<int>& term_pages) {
+  std::vector<int32_t> local_id(static_cast<size_t>(terms.num_terms()), -1);
   std::vector<int> counts;         // by local id, for the current member
   std::vector<int32_t> touched;    // local ids the current member counted
   std::vector<ir::SparseVector> vectors;
   vectors.reserve(set.members.size());
   for (const SubtreeRef& ref : set.members) {
-    size_t page = static_cast<size_t>(ref.page_index);
-    const std::vector<size_t>& begin = analyzed.begin[page];
-    for (html::NodeId id : trees[page]->SubtreeNodes(ref.node)) {
-      size_t node = static_cast<size_t>(id);
-      for (size_t k = begin[node]; k < begin[node + 1]; ++k) {
-        int32_t& local = local_id[static_cast<size_t>(analyzed.ids[k])];
+    const size_t page = static_cast<size_t>(ref.page_index);
+    const size_t term_page = static_cast<size_t>(term_pages[page]);
+    trees[page]->ForEachInSubtree(ref.node, [&](html::NodeId id) {
+      for (int32_t term : terms.NodeTerms(term_page, id)) {
+        int32_t& local = local_id[static_cast<size_t>(term)];
         if (local < 0) {
           local = static_cast<int32_t>(counts.size());
           counts.push_back(0);
         }
         if (counts[static_cast<size_t>(local)]++ == 0) touched.push_back(local);
       }
-    }
+    });
     std::vector<ir::VectorEntry> entries;
     entries.reserve(touched.size());
     for (int32_t local : touched) {
@@ -85,11 +54,22 @@ std::vector<ir::SparseVector> MemberTermCounts(
 }  // namespace
 
 std::vector<RankedSubtreeSet> RankSubtreeSets(
-    const std::vector<const html::TagTree*>& trees,
+    const std::vector<const html::ArenaTree*>& trees,
     const std::vector<CommonSubtreeSet>& sets,
     const SubtreeRankOptions& options) {
-  // Analysed serially up front; the parallel region only reads it.
-  const AnalyzedTrees analyzed = AnalyzeTrees(trees, options.terms);
+  std::vector<int> term_pages(trees.size());
+  for (size_t i = 0; i < trees.size(); ++i) {
+    term_pages[i] = static_cast<int>(i);
+  }
+  return RankSubtreeSets(trees, sets, PageTerms(trees),
+                         term_pages, options);
+}
+
+std::vector<RankedSubtreeSet> RankSubtreeSets(
+    const std::vector<const html::ArenaTree*>& trees,
+    const std::vector<CommonSubtreeSet>& sets, const PageTerms& terms,
+    const std::vector<int>& term_pages, const SubtreeRankOptions& options) {
+  // `terms` was analysed up front; the parallel region only reads it.
   // Every set carries its own vocabulary and TFIDF statistics, exactly as
   // the paper scopes them ("n_j is the total number of subtrees in common
   // subtree set j") — which also makes the sets independent units of work.
@@ -104,7 +84,7 @@ std::vector<RankedSubtreeSet> RankSubtreeSets(
           return rs;
         }
         std::vector<ir::SparseVector> counts =
-            MemberTermCounts(trees, set, analyzed);
+            MemberTermCounts(trees, set, terms, term_pages);
         ir::TfidfModel model = ir::TfidfModel::Fit(counts);
         std::vector<ir::SparseVector> weighted = model.WeighAll(
             counts,

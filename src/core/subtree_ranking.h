@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "src/core/common_subtrees.h"
-#include "src/text/term_tokenizer.h"
+#include "src/core/page_terms.h"
 
 namespace thor::core {
 
@@ -17,7 +17,6 @@ struct SubtreeRankOptions {
   /// content and pruned from QA-Pagelet consideration ("not very
   /// important" exact value — 0.5 in the paper's first prototype).
   double prune_threshold = 0.5;
-  text::TermOptions terms;
   /// Threads for scoring sets concurrently (0 = process default,
   /// 1 = serial). Each set numbers its own terms and fits its own TFIDF
   /// model, so sets are independent and the ranking is identical at every
@@ -45,9 +44,18 @@ struct RankedSubtreeSet {
 /// Singleton sets get similarity 1.0: with no cross-page counterpart there
 /// is no evidence of query-dependence.
 std::vector<RankedSubtreeSet> RankSubtreeSets(
-    const std::vector<const html::TagTree*>& trees,
+    const std::vector<const html::ArenaTree*>& trees,
     const std::vector<CommonSubtreeSet>& sets,
     const SubtreeRankOptions& options = {});
+
+/// The same ranking over terms already analysed, for many clusters at
+/// once: page i of `trees` is page `term_pages[i]` of
+/// `terms`. Every similarity is bit-identical to analysing `trees` alone,
+/// because each set renumbers its terms in first-encounter order.
+std::vector<RankedSubtreeSet> RankSubtreeSets(
+    const std::vector<const html::ArenaTree*>& trees,
+    const std::vector<CommonSubtreeSet>& sets, const PageTerms& terms,
+    const std::vector<int>& term_pages, const SubtreeRankOptions& options);
 
 }  // namespace thor::core
 

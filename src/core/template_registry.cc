@@ -43,7 +43,7 @@ TemplateRegistry TemplateRegistry::Learn(const std::vector<Page>& pages,
   std::map<std::string, Group> groups;
   for (const ThorPageResult& page_result : result.pages) {
     if (page_result.pagelet == html::kInvalidNode) continue;
-    const html::TagTree& tree =
+    const html::ArenaTree& tree =
         pages[static_cast<size_t>(page_result.page_index)].tree;
     ShapeQuad quad = MakeShapeQuad(tree, page_result.pagelet);
     Group& group = groups[quad.path_symbols];
@@ -116,11 +116,6 @@ TemplateRegistry TemplateRegistry::FromTemplates(
   return registry;
 }
 
-html::NodeId TemplateRegistry::Locate(
-    const html::TagTree& tree, const TemplateApplyOptions& options) const {
-  return LocateDetailed(tree, options).node;
-}
-
 double TemplateRegistry::Located::Confidence() const {
   if (node == html::kInvalidNode) return 0.0;
   double slack =
@@ -128,8 +123,9 @@ double TemplateRegistry::Located::Confidence() const {
   return exact_path ? std::max(slack, 0.5) : slack;
 }
 
+template <html::ReadableTree Tree>
 TemplateRegistry::Located TemplateRegistry::LocateDetailed(
-    const html::TagTree& tree, const TemplateApplyOptions& options) const {
+    const Tree& tree, const TemplateApplyOptions& options) const {
   Located located;
   std::vector<html::NodeId> candidates =
       CandidateSubtrees(tree, options.filter);
@@ -183,16 +179,9 @@ TemplateRegistry::Located TemplateRegistry::LocateDetailed(
   return located;
 }
 
-TemplateRegistry::Extraction TemplateRegistry::Extract(
-    const html::TagTree& tree, const TemplateApplyOptions& options,
-    const ObjectPartitionOptions& objects) const {
-  Extraction extraction;
-  extraction.pagelet = Locate(tree, options);
-  if (extraction.pagelet != html::kInvalidNode) {
-    extraction.objects = PartitionObjects(tree, extraction.pagelet, {},
-                                          objects);
-  }
-  return extraction;
-}
+template TemplateRegistry::Located TemplateRegistry::LocateDetailed(
+    const html::ArenaTree& tree, const TemplateApplyOptions& options) const;
+template TemplateRegistry::Located TemplateRegistry::LocateDetailed(
+    const html::TagTree& tree, const TemplateApplyOptions& options) const;
 
 }  // namespace thor::core

@@ -71,13 +71,6 @@ class TemplateRegistry {
   }
   bool empty() const { return templates_.empty(); }
 
-  /// Locates the QA-Pagelet on a fresh page: candidates are filtered as in
-  /// single-page analysis, then matched against each template (exact path
-  /// first, then nearest shape within the template's distance budget).
-  /// Returns kInvalidNode when no template fits — e.g. a no-match page.
-  html::NodeId Locate(const html::TagTree& tree,
-                      const TemplateApplyOptions& options = {}) const;
-
   /// Everything Locate knows about how well the winning template fit —
   /// what the serving layer turns into a per-response confidence.
   struct Located {
@@ -97,17 +90,40 @@ class TemplateRegistry {
     /// surviving verbatim is strong evidence even when the shape drifted.
     double Confidence() const;
   };
-  Located LocateDetailed(const html::TagTree& tree,
+
+  /// Locates the QA-Pagelet on a fresh page: candidates are filtered as in
+  /// single-page analysis, then matched against each template (exact path
+  /// first, then nearest shape within the template's distance budget).
+  /// Returns a miss (node kInvalidNode) when no template fits — e.g. a
+  /// no-match page. Written once over `html::ReadableTree` and
+  /// instantiated for the ArenaTree and for the legacy TagTree, the
+  /// denominator of bench_micro's ratio gate; serving locates with
+  /// `HotExtractor::Locate`, which the differential tests hold to this.
+  template <html::ReadableTree Tree>
+  Located LocateDetailed(const Tree& tree,
                          const TemplateApplyOptions& options = {}) const;
+
+  template <html::ReadableTree Tree>
+  html::NodeId Locate(const Tree& tree,
+                      const TemplateApplyOptions& options = {}) const {
+    return LocateDetailed(tree, options).node;
+  }
 
   /// Locate + Stage-3 partitioning in one call.
   struct Extraction {
     html::NodeId pagelet = html::kInvalidNode;
     std::vector<ObjectSpan> objects;
   };
-  Extraction Extract(const html::TagTree& tree,
+  template <html::ReadableTree Tree>
+  Extraction Extract(const Tree& tree,
                      const TemplateApplyOptions& options = {},
-                     const ObjectPartitionOptions& objects = {}) const;
+                     const ObjectPartitionOptions& objects = {}) const {
+    Extraction extraction;
+    extraction.pagelet = Locate(tree, options);
+    extraction.objects =
+        PartitionObjects(tree, extraction.pagelet, {}, objects);
+    return extraction;
+  }
 
  private:
   std::vector<ExtractionTemplate> templates_;

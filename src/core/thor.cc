@@ -8,10 +8,15 @@
 
 namespace thor::core {
 
-Phase2Result RunPhase2(const std::vector<const html::TagTree*>& trees,
-                       const Phase2Options& options) {
+namespace {
+
+// RunPhase2 over terms already analysed: page i of `trees` is page
+// `term_pages[i]` of `terms`.
+Phase2Result RunPhase2WithTerms(
+    const std::vector<const html::ArenaTree*>& trees,
+    const Phase2Options& options, const PageTerms& terms,
+    const std::vector<int>& term_pages) {
   Phase2Result result;
-  if (trees.empty()) return result;
   std::vector<std::vector<html::NodeId>> candidates = ParallelMap(
       trees.size(),
       [&](size_t i) { return CandidateSubtrees(*trees[i], options.filter); },
@@ -20,7 +25,8 @@ Phase2Result RunPhase2(const std::vector<const html::TagTree*>& trees,
   if (common.metrics == nullptr) common.metrics = options.metrics;
   std::vector<CommonSubtreeSet> sets =
       FindCommonSubtreeSets(trees, candidates, common);
-  result.ranked_sets = RankSubtreeSets(trees, sets, options.rank);
+  result.ranked_sets =
+      RankSubtreeSets(trees, sets, terms, term_pages, options.rank);
   result.pagelets =
       SelectPagelets(trees, result.ranked_sets, options.selection);
   if (options.metrics != nullptr) {
@@ -48,13 +54,11 @@ Phase2Result RunPhase2(const std::vector<const html::TagTree*>& trees,
   return result;
 }
 
-namespace {
-
 /// A page is analyzable when parsing produced some real structure; the
 /// residue of a truncated/garbled fetch (root alone, or root+body with
 /// nothing in it) is not.
 bool PageUsable(const Page& page, int min_page_nodes) {
-  const html::TagTree& tree = page.tree;
+  const html::ArenaTree& tree = page.tree;
   int tag_nodes = 0;
   for (html::NodeId id = 0;
        id < tree.node_count() && tag_nodes < min_page_nodes; ++id) {
@@ -64,6 +68,17 @@ bool PageUsable(const Page& page, int min_page_nodes) {
 }
 
 }  // namespace
+
+Phase2Result RunPhase2(const std::vector<const html::ArenaTree*>& trees,
+                       const Phase2Options& options) {
+  if (trees.empty()) return {};
+  std::vector<int> term_pages(trees.size());
+  for (size_t i = 0; i < trees.size(); ++i) {
+    term_pages[i] = static_cast<int>(i);
+  }
+  return RunPhase2WithTerms(trees, options,
+                            PageTerms(trees), term_pages);
+}
 
 Result<ThorResult> RunThor(const std::vector<Page>& all_pages,
                            const ThorOptions& options) {
@@ -148,9 +163,15 @@ Result<ThorResult> RunThor(const std::vector<Page>& all_pages,
   // No early return between here and the matching EndSpan, so explicit
   // begin/end is safe and keeps the stage boundary exact.
   int ranking_span = tracer->BeginSpan("cluster_ranking");
+  // One term analysis of the usable pages serves cluster ranking and every
+  // cluster's Phase II.
+  std::vector<const html::ArenaTree*> page_trees;
+  page_trees.reserve(pages.size());
+  for (const Page& page : pages) page_trees.push_back(&page.tree);
+  const PageTerms terms(page_trees);
   result.ranked_clusters =
       RankClusters(pages, result.clustering.assignment, result.clustering.k,
-                   options.cluster_ranking);
+                   terms, options.cluster_ranking);
   // Stage-1 knowledge: the cluster(s) holding the nonsense-probe answers
   // realize the no-match template and cannot contain QA-Pagelets.
   std::vector<bool> vetoed(static_cast<size_t>(result.clustering.k), false);
@@ -253,7 +274,7 @@ Result<ThorResult> RunThor(const std::vector<Page>& all_pages,
         // stops burning the thread pool on a result nobody will see.
         if (options.deadline.expired()) return cluster_results;
         // Collect this cluster's pages, remembering original indices.
-        std::vector<const html::TagTree*> trees;
+        std::vector<const html::ArenaTree*> trees;
         std::vector<int> original_index;
         for (size_t i = 0; i < pages.size(); ++i) {
           if (result.clustering.assignment[i] == cluster_id) {
@@ -262,13 +283,14 @@ Result<ThorResult> RunThor(const std::vector<Page>& all_pages,
           }
         }
         if (trees.empty()) return cluster_results;
-        Phase2Result phase2 = RunPhase2(trees, phase2_options);
+        Phase2Result phase2 = RunPhase2WithTerms(trees, phase2_options, terms,
+                                                 original_index);
         for (const ExtractedPagelet& pagelet : phase2.pagelets) {
           ThorPageResult page_result;
           page_result.page_index =
               original_index[static_cast<size_t>(pagelet.page_index)];
           page_result.pagelet = pagelet.node;
-          const html::TagTree& tree =
+          const html::ArenaTree& tree =
               *trees[static_cast<size_t>(pagelet.page_index)];
           page_result.objects = PartitionObjects(tree, pagelet.node,
                                                  pagelet.dynamic_descendants,

@@ -47,7 +47,7 @@ struct Phase2Result {
 /// Runs Phase II (single-page analysis, cross-page analysis, selection) on
 /// the pages of one structurally similar cluster. This is the isolated
 /// entry point the paper's Figure 8/9 experiments exercise.
-Phase2Result RunPhase2(const std::vector<const html::TagTree*>& trees,
+Phase2Result RunPhase2(const std::vector<const html::ArenaTree*>& trees,
                        const Phase2Options& options = {});
 
 /// Full THOR configuration.

@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "src/core/signature_builder.h"
-#include "src/html/parser.h"
+#include "src/html/arena_parser.h"
 #include "src/ir/similarity.h"
 #include "src/text/word_lists.h"
 
@@ -13,7 +13,7 @@ namespace {
 
 ir::SparseVector PageSignature(const std::string& html) {
   ir::SparseVector signature =
-      core::TagCountVector(html::ParseHtml(html));
+      core::TagCountVector(html::ParseArena(html));
   signature.Normalize();
   return signature;
 }

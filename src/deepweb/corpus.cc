@@ -23,9 +23,11 @@ std::vector<int> SiteSample::PageletPageIndices() const {
 
 namespace {
 
-/// Fills in metadata and scans the parsed tree for ground-truth markers.
+/// Fills in metadata and reads the ground-truth markers back from the
+/// response's start tags. Values arrive in document order, so the last
+/// pagelet marker wins and objects keep their order.
 LabeledPage FinishLabeledPage(const QueryResponse& response,
-                              html::TagTree tree) {
+                              html::ArenaTree tree) {
   LabeledPage page;
   page.url = response.url;
   page.query = response.query;
@@ -34,13 +36,12 @@ LabeledPage FinishLabeledPage(const QueryResponse& response,
   page.true_class = response.page_class;
   page.from_nonsense_probe = response.from_nonsense_probe;
   page.tree = std::move(tree);
-  for (html::NodeId id : page.tree.Preorder()) {
-    if (page.tree.node(id).kind != html::NodeKind::kTag) continue;
-    std::string_view marker = page.tree.AttributeValue(id, kQaMarkerAttr);
-    if (marker == kQaPageletValue) {
-      page.pagelet_node = id;
-    } else if (marker == kQaObjectValue) {
-      page.object_nodes.push_back(id);
+  for (const html::NodeAttribute& marker :
+       html::FindAttributeValues(page.html, page.tree, kQaMarkerAttr)) {
+    if (marker.value == kQaPageletValue) {
+      page.pagelet_node = marker.node;
+    } else if (marker.value == kQaObjectValue) {
+      page.object_nodes.push_back(marker.node);
     }
   }
   return page;
@@ -73,7 +74,7 @@ Result<LabeledPage> LabelPageChecked(const QueryResponse& response,
                               " bytes)");
   }
   html::ParseDiagnostics local;
-  auto tree = html::ParseHtmlChecked(response.html, {}, &local);
+  auto tree = html::ParseArenaChecked(response.html, {}, &local);
   if (diagnostics != nullptr) *diagnostics = local;
   if (!tree.ok()) {
     if (reason != nullptr) *reason = PageDropReason::kParseFailed;

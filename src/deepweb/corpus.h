@@ -8,8 +8,8 @@
 #include "src/deepweb/resilient_prober.h"
 #include "src/deepweb/site.h"
 #include "src/deepweb/transport.h"
-#include "src/html/parser.h"
-#include "src/html/tag_tree.h"
+#include "src/html/arena_parser.h"
+#include "src/html/arena_tree.h"
 #include "src/util/status.h"
 
 namespace thor::deepweb {
@@ -19,13 +19,14 @@ namespace thor::deepweb {
 ///
 /// Ground truth comes from the generator: the renderer marks the
 /// QA-Pagelet root with data-qa="pagelet" and each QA-Object root with
-/// data-qa="object". The THOR algorithms never consult attributes, so the
-/// markers are inert for extraction and visible only to evaluation.
+/// data-qa="object". The THOR algorithms never consult attributes (the
+/// tree stores none), so the markers are inert for extraction and visible
+/// only to evaluation.
 struct LabeledPage {
   std::string url;
   std::string query;
   std::string html;
-  html::TagTree tree;
+  html::ArenaTree tree;
   PageClass true_class = PageClass::kNoMatch;
   /// Ground-truth QA-Pagelet root, or kInvalidNode for no-match/error pages.
   html::NodeId pagelet_node = html::kInvalidNode;
@@ -76,7 +77,7 @@ inline constexpr int kMinPageTagNodes = 3;
 enum class PageDropReason {
   kNone = 0,       ///< page accepted
   kBodyTooSmall,   ///< body under kMinPageBytes
-  kParseFailed,    ///< ParseHtmlChecked refused the markup
+  kParseFailed,    ///< the checked parse refused the markup
   kTreeTooSmall,   ///< parsed tree under kMinPageTagNodes
 };
 
@@ -85,12 +86,15 @@ const char* PageDropReasonName(PageDropReason reason);
 
 /// \brief Parses one query response and attaches its ground-truth labels.
 ///
-/// Parses through ParseHtmlChecked and rejects degenerate pages with
+/// Parses once, with this thread's HotParser under the checked-parse
+/// rules (`html::ParseArenaChecked`), and rejects degenerate pages with
 /// Status::ParseError instead of emitting an unusable LabeledPage. A
 /// truncated page that still parses into a substantial tree is accepted
-/// (with the damage visible in `diagnostics`). `reason` (optional) reports
-/// why a page was rejected — the sample build feeds it into per-reason
-/// drop counters. No simulator page is rejected.
+/// (with the damage visible in `diagnostics`). The markers are read from
+/// that same parse (`html::FindAttributeValues`): only the start tags
+/// that carry `data-qa` are lexed again. `reason` (optional) reports why a
+/// page was rejected — the sample build feeds it into per-reason drop
+/// counters. No simulator page is rejected.
 Result<LabeledPage> LabelPageChecked(
     const QueryResponse& response,
     html::ParseDiagnostics* diagnostics = nullptr,

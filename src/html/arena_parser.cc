@@ -1,10 +1,12 @@
 #include "src/html/arena_parser.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 
 #include "src/html/entities.h"
 #include "src/html/tag_table.h"
+#include "src/html/tokenizer.h"
 #include "src/util/strings.h"
 
 namespace thor::html {
@@ -127,8 +129,15 @@ const ArenaTree& HotParser::Parse(std::string_view input,
   last_raw_text_node_ = kInvalidNode;
 
   LexedToken token;
-  while (NextToken(&token)) {
+  size_t parsed_bytes = input.size();
+  for (size_t token_start = pos_; NextToken(&token); token_start = pos_) {
     if (options_.max_nodes > 0 && tree_.node_count() >= options_.max_nodes) {
+      // A raw-text payload was lexed with its start tag, before
+      // token_start.
+      parsed_bytes = token.kind == LexedToken::Kind::kRawText
+                         ? static_cast<size_t>(token.text.data() -
+                                               input_.data())
+                         : token_start;
       break;
     }
     switch (token.kind) {
@@ -148,7 +157,7 @@ const ArenaTree& HotParser::Parse(std::string_view input,
         break;  // comments/doctypes stripped, same as the legacy builder
     }
   }
-  tree_.FinalizeDerived();
+  tree_.FinalizeDerived(parsed_bytes);
   return tree_;
 }
 
@@ -386,7 +395,12 @@ void HotParser::HandleStartTag(const LexedToken& token) {
     PopOne();
   }
   if (AtRootLevel()) EnsureBody();
-  NodeId node = tree_.AddTag(Top(), tag);
+  // The name follows the start tag's '<'.
+  const size_t offset =
+      static_cast<size_t>(token.name.data() - input_.data()) - 1;
+  NodeId node = tree_.AddTag(
+      Top(), tag,
+      static_cast<uint32_t>(std::min<size_t>(offset, ArenaNode::kNoTagOffset)));
   if (!IsVoidTag(tag) && !token.self_closing) {
     stack_.push_back(node);
   }
@@ -463,6 +477,149 @@ void HotParser::HandleText(std::string_view raw, bool is_raw_text) {
   if (n == 0) return;
   if (AtRootLevel()) EnsureBody();
   tree_.AddContent(Top(), std::string_view(buf, n));
+}
+
+namespace {
+
+// The parser ParseArena and ParseArenaChecked build with on this thread;
+// its arena and scratch stay warm across pages.
+HotParser& ThreadParser() {
+  thread_local HotParser parser;
+  return parser;
+}
+
+}  // namespace
+
+ArenaTree ParseArena(std::string_view input, const ParseOptions& options) {
+  return ThreadParser().Parse(input, options);
+}
+
+Result<ArenaTree> ParseArenaChecked(std::string_view input,
+                                    const ParseOptions& options,
+                                    ParseDiagnostics* diagnostics) {
+  THOR_RETURN_IF_ERROR(CheckDocument(input));
+  const ArenaTree& tree = ThreadParser().Parse(input, options);
+  THOR_RETURN_IF_ERROR(CheckParsedTree(input, tree, diagnostics));
+  return tree;
+}
+
+namespace {
+
+// Calls `visit(at)` for every case-insensitive occurrence of `name` in
+// `input`, in order. Anchored on a byte of `name` that has no case (the
+// '-' of "data-qa"), so the scan between occurrences is a memchr.
+template <typename Visit>
+void ForEachOccurrence(std::string_view input, std::string_view name,
+                       Visit&& visit) {
+  if (name.empty() || name.size() > input.size()) return;
+  size_t anchor = 0;
+  while (anchor < name.size() && IsAsciiAlpha(name[anchor])) ++anchor;
+  if (anchor == name.size()) {
+    for (size_t at = 0; at + name.size() <= input.size(); ++at) {
+      if (EqualsIgnoreAsciiCase(input.substr(at, name.size()), name)) {
+        visit(at);
+      }
+    }
+    return;
+  }
+  for (size_t hit = input.find(name[anchor], anchor); hit != input.npos;
+       hit = input.find(name[anchor], hit + 1)) {
+    const size_t at = hit - anchor;
+    if (at + name.size() <= input.size() &&
+        EqualsIgnoreAsciiCase(input.substr(at, name.size()), name)) {
+      visit(at);
+    }
+  }
+}
+
+// The value of the first attribute called `name` on a lexed start tag.
+const Attribute* FindAttribute(const Token& tag, std::string_view name) {
+  for (const Attribute& attribute : tag.attributes) {
+    if (attribute.name == name) return &attribute;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+std::vector<NodeAttribute> FindAttributeValues(std::string_view input,
+                                               const ArenaTree& tree,
+                                               std::string_view name) {
+  std::vector<NodeAttribute> found;
+  NodeId body = kInvalidNode;
+  for (NodeId child : tree.Children(tree.root())) {
+    if (tree.node(child).tag == Tag::kBody) body = child;
+  }
+  bool root_decided = false;
+  bool body_decided = false;
+  // Tag nodes that own a start tag carry increasing offsets in id order;
+  // `next` walks them as the occurrences advance.
+  NodeId next = 0;
+  NodeId owner = kInvalidNode;
+  NodeId lexed_owner = kInvalidNode;
+  size_t lexed_end = 0;  // end of lexed_owner's start tag (and raw text)
+  ForEachOccurrence(input, name, [&](size_t at) {
+    if (at >= tree.parsed_bytes()) return;  // past a max_nodes cut
+    for (; next < tree.node_count(); ++next) {
+      const uint32_t offset = tree.node(next).tag_offset;
+      if (offset == ArenaNode::kNoTagOffset) continue;
+      if (offset >= at) break;
+      owner = next;
+    }
+    if (owner != kInvalidNode && owner == lexed_owner && at < lexed_end) {
+      return;  // inside a start tag already read
+    }
+    // Lex forward from the owner's start tag (or the input's start) to the
+    // occurrence. The tokenizer is in its data state at any start tag, so
+    // these are exactly the tokens ParseHtml saw.
+    const size_t start =
+        owner == kInvalidNode ? 0 : tree.node(owner).tag_offset;
+    Tokenizer tokenizer(input.substr(start));
+    Token token;
+    bool first = owner != kInvalidNode;
+    while (tokenizer.Next(&token)) {
+      if (first) {
+        first = false;
+        if (owner != lexed_owner) {
+          if (const Attribute* a = FindAttribute(token, name)) {
+            found.push_back({owner, a->value});
+          }
+          lexed_owner = owner;
+          lexed_end = start + tokenizer.position();
+        }
+        if (at < lexed_end) return;
+        continue;
+      }
+      // Every token but a raw-text payload (offset 0) reports where it
+      // starts. Any start tag met here was handled (it starts before the
+      // occurrence) yet built no node of its own: <html>, <head> or
+      // <body>.
+      if (start + token.offset >= at) return;
+      if (token.kind != TokenKind::kStartTag) continue;
+      const TagId tag = FindTag(token.name);
+      NodeId target = kInvalidNode;
+      bool* decided = nullptr;
+      if (tag == Tag::kHtml) {
+        target = tree.root();
+        decided = &root_decided;
+      } else if (tag == Tag::kBody) {
+        target = body;
+        decided = &body_decided;
+      } else {
+        continue;  // <head>: the builder drops its attributes
+      }
+      if (*decided) continue;
+      if (const Attribute* a = FindAttribute(token, name)) {
+        found.push_back({target, a->value});
+        *decided = true;
+      }
+    }
+  });
+  std::sort(found.begin(), found.end(),
+            [](const NodeAttribute& a, const NodeAttribute& b) {
+              return a.node < b.node;
+            });
+  return found;
 }
 
 }  // namespace thor::html

@@ -1,11 +1,13 @@
 #ifndef THOR_HTML_ARENA_PARSER_H_
 #define THOR_HTML_ARENA_PARSER_H_
 
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/html/arena_tree.h"
 #include "src/html/parser.h"
+#include "src/util/status.h"
 
 namespace thor::html {
 
@@ -30,6 +32,10 @@ namespace thor::html {
 ///
 /// The differential harness (tests/hotpath_diff_test.cc) pins this parser
 /// byte-for-byte against ParseHtml over whole drifting deepweb fleets.
+///
+/// Each tag node records its start tag's byte offset (`ArenaNode::
+/// tag_offset`), so the attributes it skips can be read back from the
+/// input for the few tags that need them (`FindAttributeValues`).
 ///
 /// Reusable: each Parse resets and refills the embedded tree. Not
 /// thread-safe; use one HotParser per worker thread.
@@ -90,6 +96,41 @@ class HotParser {
   std::string_view pending_raw_text_;
   bool has_pending_raw_text_ = false;
 };
+
+/// Parses `input` with this thread's HotParser and returns the tree as an
+/// owned, packed copy (see ArenaTree): how learning builds each page's
+/// tree. Node for node what `ParseHtml(input, options)` builds.
+ArenaTree ParseArena(std::string_view input, const ParseOptions& options = {});
+
+/// ParseArena under the checked-parse rules: ParseHtmlChecked's
+/// rejections, messages and diagnostics, on the arena tree.
+Result<ArenaTree> ParseArenaChecked(std::string_view input,
+                                    const ParseOptions& options = {},
+                                    ParseDiagnostics* diagnostics = nullptr);
+
+/// One tag node's value of an attribute.
+struct NodeAttribute {
+  NodeId node = kInvalidNode;
+  std::string value;
+};
+
+/// \brief Reads attribute `name` (lowercase) back from `input`, the bytes
+/// `tree` was parsed from: every tag node whose start tags carry it, with
+/// the value `TagTree::AttributeValue` reports on `ParseHtml(input)`'s
+/// tree, in node-id order (which is document order).
+///
+/// Only the start tags that can carry the attribute are lexed, with the
+/// legacy `Tokenizer`, so names fold and values decode exactly as
+/// ParseHtml's do. Each case-insensitive occurrence of `name` in the input
+/// belongs to the last tag node whose start tag begins before it — or to
+/// an `<html>`/`<body>` start tag between that tag and the occurrence,
+/// whose attributes the legacy builder merges into the root and the body
+/// (`<head>`'s it drops). A node's first such attribute wins; tags past
+/// `tree.parsed_bytes()` were never handled and carry nothing. How the
+/// simulator's ground-truth markers are read without parsing twice.
+std::vector<NodeAttribute> FindAttributeValues(std::string_view input,
+                                               const ArenaTree& tree,
+                                               std::string_view name);
 
 }  // namespace thor::html
 

@@ -1,5 +1,6 @@
 #include "src/html/arena_tree.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -7,19 +8,57 @@
 
 namespace thor::html {
 
+ArenaTree::ArenaTree(const ArenaTree& other)
+    : nodes_(other.nodes_),
+      distinct_tags_(other.distinct_tags_),
+      parsed_bytes_(other.parsed_bytes_) {
+  // A reused tree's counts reach the largest tag id its parser ever met;
+  // the copy keeps them only up to this page's largest (TagCountOf reads
+  // 0 past the end).
+  TagId max_tag = -1;
+  for (TagId tag : distinct_tags_) max_tag = std::max(max_tag, tag);
+  tag_counts_.assign(other.tag_counts_.begin(),
+                     other.tag_counts_.begin() + (max_tag + 1));
+
+  size_t bytes = 0;
+  for (const ArenaNode& n : nodes_) bytes += n.text_size;
+  for (std::string_view path : other.paths_) bytes += path.size();
+  packed_ = std::make_unique_for_overwrite<char[]>(bytes);
+  char* out = packed_.get();
+  for (ArenaNode& n : nodes_) {
+    if (n.text_size == 0) continue;
+    std::memcpy(out, n.text_data, n.text_size);
+    n.text_data = out;
+    out += n.text_size;
+  }
+  paths_.reserve(other.paths_.size());
+  for (std::string_view path : other.paths_) {
+    std::memcpy(out, path.data(), path.size());
+    paths_.emplace_back(out, path.size());
+    out += path.size();
+  }
+}
+
+ArenaTree& ArenaTree::operator=(const ArenaTree& other) {
+  if (this != &other) *this = ArenaTree(other);
+  return *this;
+}
+
 void ArenaTree::Reset() {
   arena_.Reset();
+  packed_.reset();
   nodes_.clear();
   paths_.clear();
   path_transitions_.clear();
   for (TagId tag : distinct_tags_) tag_counts_[static_cast<size_t>(tag)] = 0;
   distinct_tags_.clear();
+  parsed_bytes_ = 0;
 
   // Root <html> node (mirrors TagTree's constructor). Its path is the
-  // single html symbol; path id 0 by construction.
-  char* symbol = static_cast<char*>(arena_.Allocate(1, 1));
-  *symbol = TagPathSymbol(Tag::kHtml);
-  paths_.push_back(std::string_view{symbol, 1});
+  // single html symbol; path id 0 by construction. The symbol lives in
+  // static storage, so an empty tree allocates no arena block.
+  static const char kRootSymbol = TagPathSymbol(Tag::kHtml);
+  paths_.push_back(std::string_view{&kRootSymbol, 1});
 
   ArenaNode root;
   root.tag = Tag::kHtml;
@@ -60,11 +99,12 @@ void ArenaTree::CountTag(TagId tag) {
   if (tag_counts_[index]++ == 0) distinct_tags_.push_back(tag);
 }
 
-NodeId ArenaTree::AddTag(NodeId parent, TagId tag) {
+NodeId ArenaTree::AddTag(NodeId parent, TagId tag, uint32_t tag_offset) {
   assert(parent >= 0 && parent < node_count());
   ArenaNode n;
   n.parent = parent;
   n.tag = tag;
+  n.tag_offset = tag_offset;
   n.depth = nodes_[static_cast<size_t>(parent)].depth + 1;
   n.path_id = InternPath(nodes_[static_cast<size_t>(parent)].path_id, tag);
   NodeId id = static_cast<NodeId>(nodes_.size());
@@ -89,7 +129,9 @@ NodeId ArenaTree::AddContent(NodeId parent, std::string_view collapsed) {
   return id;
 }
 
-void ArenaTree::FinalizeDerived() {
+void ArenaTree::FinalizeDerived(size_t parsed_bytes) {
+  parsed_bytes_ = static_cast<uint32_t>(
+      std::min<size_t>(parsed_bytes, ArenaNode::kNoTagOffset));
   // Parents precede children (same invariant as TagTree), so one backward
   // pass accumulates subtree aggregates. Depth and per-node content_length
   // were assigned at insertion.
@@ -112,6 +154,20 @@ std::string_view ArenaTree::PathSymbols(NodeId id) const {
 
 std::string ArenaTree::PathString(NodeId id) const {
   return html::PathString(*this, id);
+}
+
+std::string ArenaTree::SubtreeText(NodeId id) const {
+  return html::SubtreeText(*this, id);
+}
+
+int ArenaTree::MaxFanout() const { return html::MaxFanout(*this); }
+
+bool ArenaTree::IsAncestorOrSelf(NodeId ancestor, NodeId id) const {
+  return html::IsAncestorOrSelf(*this, ancestor, id);
+}
+
+NodeId ArenaTree::ResolvePath(std::string_view path) const {
+  return html::ResolvePath(*this, path);
 }
 
 void ArenaTree::AppendSubtreeText(NodeId id, std::string* out) const {

@@ -2,6 +2,7 @@
 #define THOR_HTML_ARENA_TREE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -40,12 +41,21 @@ struct ArenaNode {
   /// Whitespace-collapsed character data (content nodes); arena-backed.
   const char* text_data = nullptr;
   uint32_t text_size = 0;
+  /// Byte offset of this node's start tag ('<') in the parsed input, or
+  /// kNoTagOffset for content nodes and for the root, head and body, which
+  /// no single start tag creates. Fills what was padding, so the record
+  /// stays 56 bytes. Lets a caller that holds the input re-lex one tag's
+  /// attributes (see `FindAttributeValues`), which the tree does not store.
+  uint32_t tag_offset = kNoTagOffset;
+
+  static constexpr uint32_t kNoTagOffset = UINT32_MAX;
 
   bool is_tag() const { return tag >= 0; }
   std::string_view text() const { return {text_data, text_size}; }
 };
 
-/// \brief Zero-allocation-steady-state tag tree for the extraction hot path.
+/// \brief The tag tree learning and serving read (the paper's page model,
+/// Section 2).
 ///
 /// Semantically a TagTree: same node ids (insertion order), same derived
 /// fields, same path/text query results — the differential harness in
@@ -60,13 +70,24 @@ struct ArenaNode {
 /// signature_builder::TagCountVector would otherwise recompute with a
 /// preorder walk and a hash map.
 ///
-/// Not thread-safe; one tree (inside one HotParser) per worker thread.
+/// A tree is a value. Serving reads the tree a HotParser refills per page;
+/// learning keeps each page's tree as a copy (`ParseArena`), which packs
+/// every text and path string into one buffer sized to the page and
+/// points into nothing else, so it outlives the parser that built it. A
+/// copy is for reading: it carries no path-intern table, so build on it
+/// only after Reset(). A moved-from tree may only be reset, assigned or
+/// destroyed.
+///
+/// Not thread-safe to build; a finished tree may be read from any number
+/// of threads.
 class ArenaTree {
  public:
   ArenaTree() { Reset(); }
 
-  ArenaTree(const ArenaTree&) = delete;
-  ArenaTree& operator=(const ArenaTree&) = delete;
+  ArenaTree(const ArenaTree& other);
+  ArenaTree& operator=(const ArenaTree& other);
+  ArenaTree(ArenaTree&&) noexcept = default;
+  ArenaTree& operator=(ArenaTree&&) noexcept = default;
 
   /// Clears to a fresh single-root (<html>) tree, retaining all capacity.
   void Reset();
@@ -81,15 +102,24 @@ class ArenaTree {
 
   /// Appends a tag node under `parent`: links it as the last child, assigns
   /// depth and interned path id, and bumps the fused tag counts.
-  NodeId AddTag(NodeId parent, TagId tag);
+  /// `tag_offset` is its start tag's byte offset in the input (kNoTagOffset
+  /// for a node no start tag of its own creates).
+  NodeId AddTag(NodeId parent, TagId tag,
+                uint32_t tag_offset = ArenaNode::kNoTagOffset);
 
   /// Appends a content leaf under `parent`. `collapsed` must already be
   /// whitespace-collapsed, non-empty, and arena-resident (the parser's
   /// fused decode+collapse writes it there).
   NodeId AddContent(NodeId parent, std::string_view collapsed);
 
-  /// Computes subtree_size / content_length (depth is set at insertion).
-  void FinalizeDerived();
+  /// Computes subtree_size / content_length (depth is set at insertion)
+  /// and records how many input bytes the builder handled.
+  void FinalizeDerived(size_t parsed_bytes);
+
+  /// Length of the input prefix whose tokens built this tree: the whole
+  /// input unless ParseOptions::max_nodes stopped the parse, in which case
+  /// the offset of the first token left unhandled.
+  uint32_t parsed_bytes() const { return parsed_bytes_; }
 
   int Fanout(NodeId id) const { return node(id).fanout; }
   int Depth(NodeId id) const { return node(id).depth; }
@@ -159,6 +189,13 @@ class ArenaTree {
   /// rule, so pass a fresh buffer for byte-parity with SubtreeText.
   void AppendSubtreeText(NodeId id, std::string* out) const;
 
+  /// The members below are `html/tree_read.h`'s templates, shared with
+  /// TagTree.
+  std::string SubtreeText(NodeId id) const;
+  int MaxFanout() const;
+  bool IsAncestorOrSelf(NodeId ancestor, NodeId id) const;
+  NodeId ResolvePath(std::string_view path) const;
+
   /// Fused whole-page tag counts: occurrences of `tag` (0 when absent),
   /// equal to signature_builder::TagCountVector(tree).At(tag).
   int32_t TagCountOf(TagId tag) const {
@@ -168,6 +205,10 @@ class ArenaTree {
   }
   /// Distinct tags on the page, in first-occurrence order.
   const std::vector<TagId>& distinct_tags() const { return distinct_tags_; }
+  /// The dense counts behind TagCountOf, indexed by TagId. A reused tree's
+  /// reach the largest id its parser has met; a copy's end at the page's
+  /// largest.
+  const std::vector<int32_t>& tag_counts() const { return tag_counts_; }
 
  private:
   uint32_t InternPath(uint32_t parent_path, TagId tag);
@@ -175,6 +216,8 @@ class ArenaTree {
   void CountTag(TagId tag);
 
   Arena arena_;
+  /// A copy's text and path strings, packed into one buffer.
+  std::unique_ptr<char[]> packed_;
   std::vector<ArenaNode> nodes_;
   /// Page-local path table: id -> arena-resident symbol string, plus the
   /// (parent_path, tag) -> id transition map that grows it.
@@ -184,6 +227,7 @@ class ArenaTree {
   /// the list of tags actually present (so Reset zeroes only those).
   std::vector<int32_t> tag_counts_;
   std::vector<TagId> distinct_tags_;
+  uint32_t parsed_bytes_ = 0;
 };
 
 }  // namespace thor::html

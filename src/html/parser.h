@@ -1,9 +1,11 @@
 #ifndef THOR_HTML_PARSER_H_
 #define THOR_HTML_PARSER_H_
 
+#include <string>
 #include <string_view>
 
 #include "src/html/tag_tree.h"
+#include "src/html/tree_read.h"
 #include "src/util/status.h"
 
 namespace thor::html {
@@ -39,13 +41,50 @@ struct ParseDiagnostics {
   int tag_nodes = 0;
 };
 
-/// \brief Validating front end for hostile input.
+/// True when the input ends inside unterminated markup: the last '<' that
+/// plausibly opens a tag/comment has no closing '>' after it. Quote cut
+/// mid-attribute-value is a special case of this (the '>' is inside the
+/// open string literal or missing entirely).
+bool EndsInsideMarkup(std::string_view input);
+
+/// \brief The checked parse's rules, written once for both parsers.
+///
+/// `CheckDocument` runs before parsing: an empty or all-whitespace
+/// document is a Status::ParseError. `CheckParsedTree` runs on the tree
+/// parsed from `input`: it fills `diagnostics` (tag nodes, truncation),
+/// then rejects markup that yielded no analyzable structure — the root
+/// alone, or root and body with nothing below them.
+Status CheckDocument(std::string_view input);
+
+template <ReadableTree Tree>
+Status CheckParsedTree(std::string_view input, const Tree& tree,
+                       ParseDiagnostics* diagnostics) {
+  int tag_nodes = 0;
+  for (NodeId id = 0; id < tree.node_count(); ++id) {
+    if (tree.node(id).is_tag()) ++tag_nodes;
+  }
+  const bool truncated = EndsInsideMarkup(input);
+  if (diagnostics != nullptr) {
+    diagnostics->truncated_markup = truncated;
+    diagnostics->tag_nodes = tag_nodes;
+  }
+  if (tree.node_count() <= 1 ||
+      (tag_nodes <= 2 && tree.node_count() == tag_nodes)) {
+    std::string msg = "document yields no elements";
+    if (truncated) msg += " (input truncated inside markup)";
+    return Status::ParseError(std::move(msg));
+  }
+  return Status::OK();
+}
+
+/// \brief Validating front end for hostile input, on the legacy parser.
 ///
 /// Like ParseHtml, recovery is best-effort and never crashes; unlike
 /// ParseHtml, inputs too damaged to analyze — empty documents, markup that
 /// yields no elements at all — return a clean Status::ParseError instead
 /// of a degenerate tree. A truncated page that still parses into a usable
 /// tree succeeds, with the damage reported through `diagnostics`.
+/// `ParseArenaChecked` applies the same rules to HotParser's tree.
 Result<TagTree> ParseHtmlChecked(std::string_view input,
                                  const ParseOptions& options = {},
                                  ParseDiagnostics* diagnostics = nullptr);

@@ -63,13 +63,7 @@ void TagTree::FinalizeDerived() {
   }
 }
 
-int TagTree::MaxFanout() const {
-  int best = 0;
-  for (const Node& n : nodes_) {
-    best = std::max(best, static_cast<int>(n.children.size()));
-  }
-  return best;
-}
+int TagTree::MaxFanout() const { return html::MaxFanout(*this); }
 
 std::vector<TagId> TagTree::PathTags(NodeId id) const {
   std::vector<TagId> path;
@@ -91,52 +85,11 @@ std::string TagTree::PathString(NodeId id) const {
 }
 
 NodeId TagTree::ResolvePath(std::string_view path) const {
-  std::vector<std::string> parts = Split(std::string(path), '/');
-  if (parts.empty()) return kInvalidNode;
-  NodeId cur = kInvalidNode;
-  for (size_t level = 0; level < parts.size(); ++level) {
-    std::string_view part = parts[level];
-    int want_index = 0;  // 0 = unindexed (first same-tag match)
-    std::string_view name = part;
-    size_t bracket = part.find('[');
-    if (bracket != std::string_view::npos && part.back() == ']') {
-      name = part.substr(0, bracket);
-      int parsed = 0;
-      for (size_t i = bracket + 1; i + 1 < part.size(); ++i) {
-        if (!IsAsciiDigit(part[i])) return kInvalidNode;
-        parsed = parsed * 10 + (part[i] - '0');
-      }
-      want_index = parsed;
-    }
-    TagId tag = FindTag(name);
-    if (tag < 0) return kInvalidNode;
-    if (level == 0) {
-      if (node(root()).tag != tag) return kInvalidNode;
-      cur = root();
-      continue;
-    }
-    NodeId next = kInvalidNode;
-    int seen = 0;
-    for (NodeId child : node(cur).children) {
-      const Node& c = node(child);
-      if (c.kind == NodeKind::kTag && c.tag == tag) {
-        ++seen;
-        if (want_index == 0 || seen == want_index) {
-          next = child;
-          if (want_index != 0 || seen == 1) break;
-        }
-      }
-    }
-    if (next == kInvalidNode) return kInvalidNode;
-    cur = next;
-  }
-  return cur;
+  return html::ResolvePath(*this, path);
 }
 
 std::string TagTree::SubtreeText(NodeId id) const {
-  std::string out;
-  AppendSubtreeText(id, &out);
-  return out;
+  return html::SubtreeText(*this, id);
 }
 
 void TagTree::AppendSubtreeText(NodeId id, std::string* out) const {
@@ -156,10 +109,7 @@ std::vector<NodeId> TagTree::SubtreeNodes(NodeId id) const {
 }
 
 bool TagTree::IsAncestorOrSelf(NodeId ancestor, NodeId id) const {
-  for (NodeId cur = id; cur != kInvalidNode; cur = node(cur).parent) {
-    if (cur == ancestor) return true;
-  }
-  return false;
+  return html::IsAncestorOrSelf(*this, ancestor, id);
 }
 
 std::string_view TagTree::AttributeValue(NodeId id,

@@ -43,12 +43,15 @@ struct Node {
   bool is_tag() const { return kind == NodeKind::kTag; }
 };
 
-/// \brief Arena-backed tag tree (the paper's page model, Section 2).
+/// \brief The legacy parser's tag tree, kept as the differential oracle.
 ///
 /// Built top-down via AddTag/AddContent, then FinalizeDerived() computes
-/// depth, subtree sizes and content lengths. All queries the extraction
-/// phases need — fanout, depth, XPath-style paths, per-subtree text — live
-/// here.
+/// depth, subtree sizes and content lengths. Learning and serving read
+/// `ArenaTree`; this tree, with its materialized attributes and child
+/// vectors, is what `ParseHtml` builds for the tests that hold HotParser
+/// to it node by node and for the denominator of bench_micro's ratio
+/// gate. The queries it shares with ArenaTree are `html/tree_read.h`'s
+/// templates.
 class TagTree {
  public:
   TagTree();

@@ -59,6 +59,10 @@ class Tokenizer {
   /// Convenience: tokenizes the whole input.
   static std::vector<Token> TokenizeAll(std::string_view input);
 
+  /// Bytes consumed so far. After a raw-text element's start tag this is
+  /// already past its payload, which the next Next() returns.
+  size_t position() const { return pos_; }
+
  private:
   // Lexes a markup construct starting at '<'. Returns true if a token was
   // produced; false means the '<' was literal text.

@@ -31,23 +31,38 @@ const std::unordered_set<std::string_view>& StopwordSet() {
   return set;
 }
 
-// Calls `on_token(lowered, has_alpha)` for each maximal ASCII alphanumeric
-// run of `content`, in order, with the run lowercased.
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+
+// Calls `on_token(lowered, has_alpha, hash)` for each maximal ASCII
+// alphanumeric run of `content`, in order: `lowered` is the run lowercased
+// into `*buffer` and `hash` its FNV-1a hash, computed in the same pass.
 template <typename OnToken>
-void ForEachToken(std::string_view content, OnToken&& on_token) {
-  size_t i = 0;
-  while (i < content.size()) {
-    if (!IsAsciiAlnum(content[i])) {
-      ++i;
+void ForEachToken(std::string_view content, std::string* buffer,
+                  OnToken&& on_token) {
+  const char* cur = content.data();
+  const char* const end = cur + content.size();
+  while (cur < end) {
+    if (!IsAsciiAlnum(*cur)) {
+      ++cur;
       continue;
     }
-    size_t start = i;
+    const char* start = cur;
+    while (cur < end && IsAsciiAlnum(*cur)) ++cur;
+    buffer->resize(static_cast<size_t>(cur - start));
+    char* out = buffer->data();
     bool has_alpha = false;
-    while (i < content.size() && IsAsciiAlnum(content[i])) {
-      if (IsAsciiAlpha(content[i])) has_alpha = true;
-      ++i;
+    uint64_t hash = kFnvOffset;
+    for (const char* in = start; in < cur; ++in) {
+      char c = *in;
+      if (IsAsciiAlpha(c)) {
+        has_alpha = true;
+        c = AsciiToLower(c);
+      }
+      *out++ = c;
+      hash = (hash ^ static_cast<unsigned char>(c)) * kFnvPrime;
     }
-    on_token(AsciiLower(content.substr(start, i - start)), has_alpha);
+    on_token(std::string_view(*buffer), has_alpha, hash);
   }
 }
 
@@ -70,11 +85,14 @@ bool IsStopword(std::string_view word) {
 std::vector<std::string> ExtractTerms(std::string_view content,
                                       const TermOptions& options) {
   std::vector<std::string> terms;
-  ForEachToken(content, [&](std::string term, bool has_alpha) {
-    if (NormalizeToken(&term, has_alpha, options)) {
-      terms.push_back(std::move(term));
-    }
-  });
+  std::string buffer;
+  ForEachToken(content, &buffer,
+               [&](std::string_view lowered, bool has_alpha, uint64_t) {
+                 std::string term(lowered);
+                 if (NormalizeToken(&term, has_alpha, options)) {
+                   terms.push_back(std::move(term));
+                 }
+               });
   return terms;
 }
 
@@ -89,19 +107,53 @@ TermAnalyzer::TermAnalyzer(const TermOptions& options) : options_(options) {}
 
 void TermAnalyzer::AppendTermIds(std::string_view content,
                                  std::vector<int32_t>* ids) {
-  ForEachToken(content, [&](std::string lowered, bool has_alpha) {
-    auto it = token_ids_.find(lowered);
-    if (it == token_ids_.end()) {
-      int32_t id = -1;
-      std::string term = lowered;
-      if (NormalizeToken(&term, has_alpha, options_)) {
-        int32_t next = static_cast<int32_t>(term_ids_.size());
-        id = term_ids_.try_emplace(std::move(term), next).first->second;
-      }
-      it = token_ids_.emplace(std::move(lowered), id).first;
+  ForEachToken(content, &scratch_,
+               [&](std::string_view lowered, bool has_alpha, uint64_t hash) {
+                 const int32_t id = TokenId(lowered, has_alpha, hash);
+                 if (id >= 0) ids->push_back(id);
+               });
+}
+
+int32_t TermAnalyzer::TokenId(std::string_view lowered, bool has_alpha,
+                              uint64_t hash) {
+  if ((used_ + 1) * 2 > slots_.size()) Grow();
+  const size_t mask = slots_.size() - 1;
+  size_t at = static_cast<size_t>(hash) & mask;
+  for (;; at = (at + 1) & mask) {
+    const Slot& slot = slots_[at];
+    if (slot.key_size == 0) break;
+    if (slot.hash == hash && slot.key_size == lowered.size() &&
+        std::string_view(keys_).substr(slot.key_begin, slot.key_size) ==
+            lowered) {
+      return slot.id;
     }
-    if (it->second >= 0) ids->push_back(it->second);
-  });
+  }
+  int32_t id = -1;
+  std::string term(lowered);
+  if (NormalizeToken(&term, has_alpha, options_)) {
+    const int32_t next = static_cast<int32_t>(term_ids_.size());
+    id = term_ids_.try_emplace(std::move(term), next).first->second;
+  }
+  Slot& slot = slots_[at];
+  slot.hash = hash;
+  slot.key_begin = static_cast<uint32_t>(keys_.size());
+  slot.key_size = static_cast<uint32_t>(lowered.size());
+  slot.id = id;
+  keys_.append(lowered);
+  ++used_;
+  return id;
+}
+
+void TermAnalyzer::Grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 1024 : old.size() * 2, Slot{});
+  const size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.key_size == 0) continue;
+    size_t at = static_cast<size_t>(slot.hash) & mask;
+    while (slots_[at].key_size != 0) at = (at + 1) & mask;
+    slots_[at] = slot;
+  }
 }
 
 }  // namespace thor::text

@@ -41,8 +41,9 @@ int CountDistinctTerms(std::string_view content,
 /// Ids start at 0 and are assigned in first-seen order; two ids are equal
 /// exactly when their terms are. Each distinct lowercased token is
 /// stopword-checked and stemmed once, and a dropped token is remembered as
-/// dropped, so a token seen again costs one hash lookup. The memo grows with
-/// every distinct token seen: scope an analyzer to one call, never to the
+/// dropped, so a token seen again costs one probe of an open-addressing
+/// table, hashed while the token is lowercased. The memo grows with every
+/// distinct token seen: scope an analyzer to one call, never to the
 /// process. Not thread-safe.
 class TermAnalyzer {
  public:
@@ -56,9 +57,26 @@ class TermAnalyzer {
   int num_terms() const { return static_cast<int>(term_ids_.size()); }
 
  private:
+  // One memoized token: its bytes are keys_[key_begin, key_begin +
+  // key_size). A key_size of 0 marks an empty slot (tokens are never
+  // empty).
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t key_begin = 0;
+    uint32_t key_size = 0;
+    int32_t id = -1;  // term id, or -1 when the options drop the token
+  };
+
+  // The memoized id of a lowercased token, normalizing it on first sight.
+  int32_t TokenId(std::string_view lowered, bool has_alpha, uint64_t hash);
+  void Grow();
+
   TermOptions options_;
-  // Lowercased token -> term id, or -1 when the options drop the token.
-  std::unordered_map<std::string, int32_t> token_ids_;
+  std::vector<Slot> slots_;  // power-of-two size, at most half full
+  size_t used_ = 0;
+  std::string keys_;
+  std::string scratch_;  // the current token, lowercased
+  // Normalized term -> id; consulted only on a token's first sight.
   std::unordered_map<std::string, int32_t> term_ids_;
 };
 

@@ -4,49 +4,21 @@
 
 namespace thor::treedist {
 
-namespace {
-
-constexpr int kContentLabel = -2;
-
-void BuildPostorder(const html::TagTree& tree, html::NodeId node,
-                    OrderedTree* out, int* leftmost_out) {
-  const html::Node& n = tree.node(node);
-  int my_leftmost = -1;
-  for (html::NodeId child : n.children) {
-    int child_leftmost = -1;
-    BuildPostorder(tree, child, out, &child_leftmost);
-    if (my_leftmost == -1) my_leftmost = child_leftmost;
-  }
-  int my_index = static_cast<int>(out->labels.size());
-  if (my_leftmost == -1) my_leftmost = my_index;
-  out->labels.push_back(n.kind == html::NodeKind::kTag ? n.tag
-                                                       : kContentLabel);
-  out->leftmost_leaf.push_back(my_leftmost);
-  *leftmost_out = my_leftmost;
-}
-
-}  // namespace
-
-OrderedTree OrderedTree::FromTagTree(const html::TagTree& tree,
-                                     html::NodeId root) {
-  OrderedTree out;
-  int leftmost = -1;
-  BuildPostorder(tree, root, &out, &leftmost);
+void OrderedTree::ComputeKeyroots() {
   // keyroots: nodes with no parent sharing their leftmost leaf; i.e. the
   // largest node index for each distinct leftmost-leaf value.
   std::vector<int> last_with_lml;
-  for (int i = 0; i < out.size(); ++i) {
-    int lml = out.leftmost_leaf[static_cast<size_t>(i)];
+  for (int i = 0; i < size(); ++i) {
+    int lml = leftmost_leaf[static_cast<size_t>(i)];
     if (lml >= static_cast<int>(last_with_lml.size())) {
       last_with_lml.resize(static_cast<size_t>(lml) + 1, -1);
     }
     last_with_lml[static_cast<size_t>(lml)] = i;
   }
   for (int idx : last_with_lml) {
-    if (idx >= 0) out.keyroots.push_back(idx);
+    if (idx >= 0) keyroots.push_back(idx);
   }
-  std::sort(out.keyroots.begin(), out.keyroots.end());
-  return out;
+  std::sort(keyroots.begin(), keyroots.end());
 }
 
 int TreeEditDistance(const OrderedTree& t1, const OrderedTree& t2) {

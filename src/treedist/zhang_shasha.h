@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "src/html/tag_tree.h"
+#include "src/html/tree_read.h"
 
 namespace thor::treedist {
 
@@ -23,9 +23,38 @@ struct OrderedTree {
 
   int size() const { return static_cast<int>(labels.size()); }
 
-  /// Builds from the subtree of `tree` rooted at `root`.
-  static OrderedTree FromTagTree(const html::TagTree& tree,
-                                 html::NodeId root);
+  /// Builds from the subtree of `tree` rooted at `root` (either tag tree:
+  /// written once over `html::ReadableTree`).
+  template <html::ReadableTree Tree>
+  static OrderedTree FromTagTree(const Tree& tree, html::NodeId root) {
+    OrderedTree out;
+    int leftmost = -1;
+    out.AppendPostorder(tree, root, &leftmost);
+    out.ComputeKeyroots();
+    return out;
+  }
+
+ private:
+  static constexpr int kContentLabel = -2;
+
+  template <html::ReadableTree Tree>
+  void AppendPostorder(const Tree& tree, html::NodeId node,
+                       int* leftmost_out) {
+    int my_leftmost = -1;
+    for (html::NodeId child : tree.Children(node)) {
+      int child_leftmost = -1;
+      AppendPostorder(tree, child, &child_leftmost);
+      if (my_leftmost == -1) my_leftmost = child_leftmost;
+    }
+    const int my_index = size();
+    if (my_leftmost == -1) my_leftmost = my_index;
+    labels.push_back(tree.node(node).is_tag() ? tree.node(node).tag
+                                              : kContentLabel);
+    leftmost_leaf.push_back(my_leftmost);
+    *leftmost_out = my_leftmost;
+  }
+
+  void ComputeKeyroots();
 };
 
 /// Zhang-Shasha ordered tree edit distance with unit insert/delete/relabel

@@ -41,6 +41,30 @@ class Arena {
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
+  /// Moving hands the blocks over; their addresses do not change, so
+  /// pointers into them stay valid. The moved-from arena is empty.
+  Arena(Arena&& other) noexcept
+      : block_bytes_(other.block_bytes_),
+        blocks_(std::move(other.blocks_)),
+        next_block_(std::exchange(other.next_block_, 0)),
+        cursor_(std::exchange(other.cursor_, nullptr)),
+        limit_(std::exchange(other.limit_, nullptr)),
+        bytes_used_(std::exchange(other.bytes_used_, 0)) {
+    other.blocks_.clear();
+  }
+  Arena& operator=(Arena&& other) noexcept {
+    if (this != &other) {
+      block_bytes_ = other.block_bytes_;
+      blocks_ = std::move(other.blocks_);
+      other.blocks_.clear();
+      next_block_ = std::exchange(other.next_block_, 0);
+      cursor_ = std::exchange(other.cursor_, nullptr);
+      limit_ = std::exchange(other.limit_, nullptr);
+      bytes_used_ = std::exchange(other.bytes_used_, 0);
+    }
+    return *this;
+  }
+
   /// Returns `size` bytes aligned to `align` (a power of two). Zero-size
   /// requests return a stable non-null pointer.
   void* Allocate(size_t size, size_t align = alignof(std::max_align_t)) {

@@ -9,6 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/signature_builder.h"
+#include "src/html/arena_parser.h"
+#include "src/html/parser.h"
+#include "src/html/tag_table.h"
+#include "tests/tree_diff.h"
+
 namespace thor {
 namespace {
 
@@ -155,6 +161,75 @@ TEST(ArenaTest, BytesUsedTracksPayloadAcrossReset) {
   arena.Reset();
   EXPECT_EQ(arena.bytes_used(), 0u);
   EXPECT_GT(arena.bytes_reserved(), 0u);  // blocks retained
+}
+
+TEST(ArenaTest, MoveHandsBlocksOverAndEmptiesTheSource) {
+  Arena source(2048);
+  std::string_view kept = source.CopyString("survives the move");
+  const size_t reserved = source.bytes_reserved();
+  Arena moved(std::move(source));
+  EXPECT_EQ(kept, "survives the move");  // blocks keep their addresses
+  EXPECT_EQ(moved.bytes_reserved(), reserved);
+  EXPECT_EQ(source.block_count(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(source.bytes_used(), 0u);   // NOLINT(bugprone-use-after-move)
+  // The emptied source allocates from fresh blocks of its own.
+  std::string_view fresh = source.CopyString("fresh");
+  EXPECT_EQ(fresh, "fresh");
+  EXPECT_EQ(kept, "survives the move");
+  Arena assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(kept, "survives the move");
+  EXPECT_EQ(assigned.bytes_reserved(), reserved);
+}
+
+// An owned tree is a value: a copy outlives the parser that built it and
+// every later parse, a copy of a copy and a moved tree read the same, and
+// a reset copy builds again.
+TEST(ArenaTreeTest, CopiesAndMovesOutliveTheParser) {
+  const std::string first =
+      "<html><head><title>t</title></head><body><table><tr><td>one &amp; "
+      "two</td><td>three</td></tr></table><p>four</p></body></html>";
+  const std::string second = "<ul><li>other<li>page</ul>";
+  html::HotParser parser;
+  const html::ArenaTree copy = parser.Parse(first);
+  parser.Parse(second);  // refills the parser's tree and arena
+  const html::TagTree legacy = html::ParseHtml(first);
+  tree_diff::ExpectTreesIdentical(legacy, copy, "copy");
+  const html::ArenaTree copy_of_copy = copy;
+  tree_diff::ExpectTreesIdentical(legacy, copy_of_copy, "copy of copy");
+  // The fused tag counts travel with the copy.
+  const ir::SparseVector counts = core::TagCountVector(copy);
+  const ir::SparseVector legacy_counts = core::TagCountVector(legacy);
+  ASSERT_EQ(counts.entries().size(), legacy_counts.entries().size());
+  for (size_t e = 0; e < counts.entries().size(); ++e) {
+    EXPECT_EQ(counts.entries()[e].id, legacy_counts.entries()[e].id);
+    EXPECT_EQ(counts.entries()[e].weight, legacy_counts.entries()[e].weight);
+  }
+  // A copy's counts end at its page's largest tag id, however large an
+  // id the parser met on an earlier page.
+  parser.Parse("<x-arena-copy-wide-tag>w</x-arena-copy-wide-tag>");
+  ASSERT_GT(parser.tree().tag_counts().size(),
+            static_cast<size_t>(html::kWellKnownTagCount));
+  const html::ArenaTree trimmed = parser.Parse(first);
+  EXPECT_LE(trimmed.tag_counts().size(),
+            static_cast<size_t>(html::kWellKnownTagCount));
+  tree_diff::ExpectTreesIdentical(legacy, trimmed, "trimmed copy");
+  for (const auto& entry : legacy_counts.entries()) {
+    EXPECT_EQ(static_cast<double>(trimmed.TagCountOf(entry.id)),
+              entry.weight);
+  }
+  html::ArenaTree moved = html::ParseArena(first);
+  html::ArenaTree target;
+  target = std::move(moved);
+  tree_diff::ExpectTreesIdentical(legacy, target, "moved");
+  target = copy_of_copy;
+  target = target;  // self-assignment keeps the tree
+  tree_diff::ExpectTreesIdentical(legacy, target, "self-assigned");
+  target.Reset();
+  EXPECT_EQ(target.node_count(), 1);
+  target.AddTag(target.root(), html::Tag::kBody);
+  target.FinalizeDerived(0);
+  EXPECT_EQ(target.PathString(1), "html/body");
 }
 
 }  // namespace

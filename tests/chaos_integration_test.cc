@@ -11,7 +11,7 @@
 #include "src/deepweb/corpus.h"
 #include "src/deepweb/site_generator.h"
 #include "src/deepweb/transport.h"
-#include "src/html/parser.h"
+#include "src/html/arena_parser.h"
 
 namespace thor {
 namespace {
@@ -175,7 +175,7 @@ TEST(ChaosIntegrationTest, RunThorDropsDegeneratePagesAndRemaps) {
   Page broken;
   broken.url = "chaos://truncated";
   broken.html = "<html";
-  broken.tree = html::ParseHtml(broken.html);
+  broken.tree = html::ParseArena(broken.html);
   broken.size_bytes = static_cast<int>(broken.html.size());
   pages.push_back(std::move(broken));
 
@@ -208,7 +208,7 @@ TEST(ChaosIntegrationTest, RunThorErrorsWhenNothingUsable) {
     Page broken;
     broken.url = "chaos://" + std::to_string(i);
     broken.html = "<html";
-    broken.tree = html::ParseHtml(broken.html);
+    broken.tree = html::ParseArena(broken.html);
     pages.push_back(std::move(broken));
   }
   auto result = RunThor(pages);

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/subtree_filter.h"
-#include "src/html/parser.h"
+#include "src/html/arena_parser.h"
 
 namespace thor::core {
 namespace {
@@ -24,7 +24,7 @@ std::string TemplatePage(int rows, const std::string& salt) {
 }
 
 TEST(ShapeQuadTest, FieldsMatchTree) {
-  html::TagTree tree = html::ParseHtml(TemplatePage(3, "x"));
+  html::ArenaTree tree = html::ParseArena(TemplatePage(3, "x"));
   html::NodeId table = tree.ResolvePath("html/body/table");
   ASSERT_NE(table, html::kInvalidNode);
   ShapeQuad quad = MakeShapeQuad(tree, table);
@@ -35,14 +35,14 @@ TEST(ShapeQuadTest, FieldsMatchTree) {
 }
 
 TEST(ShapeDistanceTest, IdenticalIsZero) {
-  html::TagTree tree = html::ParseHtml(TemplatePage(3, "x"));
+  html::ArenaTree tree = html::ParseArena(TemplatePage(3, "x"));
   ShapeQuad quad = MakeShapeQuad(tree, tree.ResolvePath("html/body/table"));
   EXPECT_DOUBLE_EQ(ShapeDistance(quad, quad), 0.0);
 }
 
 TEST(ShapeDistanceTest, BoundedAndSymmetric) {
-  html::TagTree a = html::ParseHtml(TemplatePage(2, "a"));
-  html::TagTree b = html::ParseHtml(TemplatePage(9, "b"));
+  html::ArenaTree a = html::ParseArena(TemplatePage(2, "a"));
+  html::ArenaTree b = html::ParseArena(TemplatePage(9, "b"));
   std::vector<ShapeQuad> quads;
   for (html::NodeId id : CandidateSubtrees(a)) {
     quads.push_back(MakeShapeQuad(a, id));
@@ -89,7 +89,7 @@ class CommonSubtreeFixture : public ::testing::Test {
     pages_.clear();
     for (int i = 0; i < num_pages; ++i) {
       pages_.push_back(
-          html::ParseHtml(TemplatePage(2 + i % 7, "page" + std::to_string(i))));
+          html::ParseArena(TemplatePage(2 + i % 7, "page" + std::to_string(i))));
     }
     trees_.clear();
     candidates_.clear();
@@ -99,8 +99,8 @@ class CommonSubtreeFixture : public ::testing::Test {
     }
   }
 
-  std::vector<html::TagTree> pages_;
-  std::vector<const html::TagTree*> trees_;
+  std::vector<html::ArenaTree> pages_;
+  std::vector<const html::ArenaTree*> trees_;
   std::vector<std::vector<html::NodeId>> candidates_;
 };
 
@@ -112,7 +112,7 @@ TEST_F(CommonSubtreeFixture, GroupsCounterpartRegions) {
   for (const auto& set : sets) {
     ASSERT_FALSE(set.members.empty());
     const auto& first = set.members[0];
-    const html::TagTree& tree = *trees_[static_cast<size_t>(first.page_index)];
+    const html::ArenaTree& tree = *trees_[static_cast<size_t>(first.page_index)];
     if (tree.node(first.node).tag == html::Tag::kTable) {
       found_table_set = true;
       // Every page's table must be in this set despite row-count variance.

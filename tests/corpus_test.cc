@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/deepweb/site_generator.h"
+#include "src/html/parser.h"
 
 namespace thor::deepweb {
 namespace {
@@ -67,7 +68,10 @@ TEST(CorpusTest, PageletNodeCarriesMarkerAttribute) {
   SiteSample sample = MakeSample();
   for (const LabeledPage& page : sample.pages) {
     if (page.pagelet_node == html::kInvalidNode) continue;
-    EXPECT_EQ(page.tree.AttributeValue(page.pagelet_node, kQaMarkerAttr),
+    // The labelled tree stores no attributes: read the marker on the
+    // legacy parser's tree, whose node ids the arena tree shares.
+    html::TagTree legacy = html::ParseHtml(page.html);
+    EXPECT_EQ(legacy.AttributeValue(page.pagelet_node, kQaMarkerAttr),
               kQaPageletValue);
   }
 }

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/html/parser.h"
+#include "src/html/arena_parser.h"
 
 namespace thor::core {
 namespace {
@@ -32,14 +32,14 @@ TEST(PrecisionRecallTest, AddAccumulates) {
 }
 
 TEST(PageletMatchesTest, ExactMatch) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><table><tr><td>content here</td></tr></table></div>");
   html::NodeId table = tree.ResolvePath("html/body/div/table");
   EXPECT_TRUE(PageletMatches(tree, table, table));
 }
 
 TEST(PageletMatchesTest, InvalidNodesNeverMatch) {
-  html::TagTree tree = html::ParseHtml("<p>x</p>");
+  html::ArenaTree tree = html::ParseArena("<p>x</p>");
   html::NodeId p = tree.ResolvePath("html/body/p");
   EXPECT_FALSE(PageletMatches(tree, html::kInvalidNode, p));
   EXPECT_FALSE(PageletMatches(tree, p, html::kInvalidNode));
@@ -47,7 +47,7 @@ TEST(PageletMatchesTest, InvalidNodesNeverMatch) {
 
 TEST(PageletMatchesTest, RelaxedAcceptsTightWrapper) {
   // The extracted div contains only the truth table (same content).
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><table><tr><td>the full answer content</td></tr></table></div>");
   html::NodeId div = tree.ResolvePath("html/body/div");
   html::NodeId table = tree.ResolvePath("html/body/div/table");
@@ -57,7 +57,7 @@ TEST(PageletMatchesTest, RelaxedAcceptsTightWrapper) {
 
 TEST(PageletMatchesTest, RelaxedRejectsLooseWrapper) {
   // The wrapper adds lots of extra content beyond the truth region.
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><p>plenty of additional boilerplate text that dwarfs it</p>"
       "<table><tr><td>answer</td></tr></table></div>");
   html::NodeId div = tree.ResolvePath("html/body/div");
@@ -66,7 +66,7 @@ TEST(PageletMatchesTest, RelaxedRejectsLooseWrapper) {
 }
 
 TEST(PageletMatchesTest, RelaxedRejectsSiblings) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><p>same size text</p></div><div><p>same size text</p></div>");
   html::NodeId first = tree.ResolvePath("html/body/div[1]");
   html::NodeId second = tree.ResolvePath("html/body/div[2]");
@@ -74,7 +74,7 @@ TEST(PageletMatchesTest, RelaxedRejectsSiblings) {
 }
 
 TEST(PageletMatchesTest, StrictModeRequiresExactNode) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><table><tr><td>answer content</td></tr></table></div>");
   html::NodeId div = tree.ResolvePath("html/body/div");
   html::NodeId table = tree.ResolvePath("html/body/div/table");
@@ -85,7 +85,7 @@ TEST(PageletMatchesTest, StrictModeRequiresExactNode) {
 }
 
 TEST(PageletMatchesTest, ToleranceIsConfigurable) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><h2>head</h2><table><tr><td>the main answer body text"
       "</td></tr></table></div>");
   html::NodeId div = tree.ResolvePath("html/body/div");

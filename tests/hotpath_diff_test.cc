@@ -28,7 +28,6 @@
 #include "src/core/evaluation.h"
 #include "src/core/hot_extractor.h"
 #include "src/core/object_partition.h"
-#include "src/core/page.h"
 #include "src/core/signature_builder.h"
 #include "src/core/template_registry.h"
 #include "src/core/thor.h"
@@ -36,9 +35,11 @@
 #include "src/deepweb/site_generator.h"
 #include "src/html/arena_parser.h"
 #include "src/html/arena_tree.h"
+#include "src/html/parser.h"
 #include "src/serve/extraction_service.h"
 #include "src/serve/template_store.h"
 #include "src/util/json.h"
+#include "tests/tree_diff.h"
 
 namespace thor {
 namespace {
@@ -46,6 +47,15 @@ namespace {
 bool BitEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(a)) == 0;
 }
+
+/// A page on the legacy parser and tree: the reference every hot-path
+/// result below is compared with.
+struct LegacyPage {
+  explicit LegacyPage(std::string_view html,
+                      const html::ParseOptions& options = {})
+      : tree(html::ParseHtml(html, options)) {}
+  html::TagTree tree;
+};
 
 constexpr int kEpochs = 3;
 constexpr size_t kQueriesPerSite = 12;
@@ -116,55 +126,8 @@ struct DiffWorld {
   }
 };
 
-/// Preorder node ids of an ArenaTree via its child/sibling links (the hot
-/// tree has no materialized child vectors to walk).
-std::vector<html::NodeId> ArenaPreorder(const html::ArenaTree& tree) {
-  std::vector<html::NodeId> order;
-  if (tree.node_count() == 0) return order;
-  html::NodeId cur = tree.root();
-  while (cur != html::kInvalidNode) {
-    order.push_back(cur);
-    const html::ArenaNode& n = tree.node(cur);
-    if (n.first_child != html::kInvalidNode) {
-      cur = n.first_child;
-      continue;
-    }
-    while (cur != html::kInvalidNode &&
-           tree.node(cur).next_sibling == html::kInvalidNode) {
-      cur = tree.node(cur).parent;
-    }
-    if (cur != html::kInvalidNode) cur = tree.node(cur).next_sibling;
-  }
-  return order;
-}
-
-void ExpectTreesIdentical(const html::TagTree& legacy,
-                          const html::ArenaTree& hot,
-                          const std::string& context) {
-  SCOPED_TRACE(context);
-  std::vector<html::NodeId> legacy_order = legacy.Preorder();
-  std::vector<html::NodeId> hot_order = ArenaPreorder(hot);
-  ASSERT_EQ(legacy_order.size(), hot_order.size());
-  for (size_t i = 0; i < legacy_order.size(); ++i) {
-    const html::Node& l = legacy.node(legacy_order[i]);
-    const html::ArenaNode& h = hot.node(hot_order[i]);
-    SCOPED_TRACE("preorder index " + std::to_string(i));
-    ASSERT_EQ(l.kind == html::NodeKind::kTag, h.is_tag());
-    if (l.kind == html::NodeKind::kTag) {
-      EXPECT_EQ(l.tag, h.tag);
-      EXPECT_EQ(legacy.PathSymbols(legacy_order[i]),
-                hot.path(h.path_id));
-      EXPECT_EQ(legacy.PathString(legacy_order[i]),
-                hot.PathString(hot_order[i]));
-    } else {
-      EXPECT_EQ(std::string_view(l.text), h.text());
-    }
-    EXPECT_EQ(legacy.Fanout(legacy_order[i]), h.fanout);
-    EXPECT_EQ(legacy.Depth(legacy_order[i]), h.depth);
-    EXPECT_EQ(legacy.SubtreeSize(legacy_order[i]), h.subtree_size);
-    EXPECT_EQ(l.content_length, h.content_length);
-  }
-}
+using tree_diff::ArenaPreorder;
+using tree_diff::ExpectTreesIdentical;
 
 TEST(HotPathDiffTest, TreesMatchNodeByNodeAcrossDriftEpochs) {
   DiffWorld world = DiffWorld::Make();
@@ -174,7 +137,7 @@ TEST(HotPathDiffTest, TreesMatchNodeByNodeAcrossDriftEpochs) {
     auto corpus = world.FreshHtml();
     ASSERT_FALSE(corpus.empty());
     for (size_t i = 0; i < corpus.size(); ++i) {
-      core::Page page = core::Page::Parse("diff", corpus[i]);
+      LegacyPage page(corpus[i]);
       const html::ArenaTree& hot = parser.Parse(corpus[i]);
       ExpectTreesIdentical(page.tree, hot,
                            "epoch " + std::to_string(epoch) + " page " +
@@ -191,7 +154,7 @@ TEST(HotPathDiffTest, MaxNodesCapProducesIdenticalTruncation) {
   for (int cap : {1, 5, 40, 200}) {
     options.max_nodes = cap;
     for (size_t i = 0; i < corpus.size(); ++i) {
-      core::Page page = core::Page::Parse("diff", corpus[i], options);
+      LegacyPage page(corpus[i], options);
       const html::ArenaTree& hot = parser.Parse(corpus[i], options);
       ExpectTreesIdentical(page.tree, hot,
                            "cap " + std::to_string(cap) + " page " +
@@ -209,7 +172,7 @@ TEST(HotPathDiffTest, FusedSignaturesBitIdenticalToTagCountVector) {
   for (int epoch : {0, 1, 2}) {
     deepweb::SetFleetEpoch(&world.fleet, epoch);
     for (const std::string& html : world.FreshHtml()) {
-      core::Page page = core::Page::Parse("diff", html);
+      LegacyPage page(html);
       extractor.Parse(html);
       ir::SparseVector legacy = core::TagCountVector(page.tree);
       ir::SparseVector hot = extractor.PageTagCounts();
@@ -240,7 +203,7 @@ TEST(HotPathDiffTest, LocateDetailedBitIdenticalAcrossDriftEpochs) {
     for (size_t i = 0; i < corpus.size(); ++i) {
       SCOPED_TRACE("epoch " + std::to_string(epoch) + " page " +
                    std::to_string(i));
-      core::Page page = core::Page::Parse("diff", corpus[i]);
+      LegacyPage page(corpus[i]);
       auto legacy = world.registry.LocateDetailed(page.tree);
       const html::ArenaTree& tree = extractor.Parse(corpus[i]);
       auto hot = extractor.Locate(tree, compiled);
@@ -273,7 +236,7 @@ void ExpectExtractionIdentical(const core::TemplateRegistry& registry,
                                const std::string& html,
                                core::HotExtractor* extractor, int* hits) {
   auto hot = extractor->Extract(html, compiled);
-  core::Page page = core::Page::Parse("diff", html);
+  LegacyPage page(html);
   auto located = registry.LocateDetailed(page.tree);
   if (located.node == html::kInvalidNode) {
     EXPECT_FALSE(hot.hit);
@@ -355,7 +318,7 @@ TEST(HotPathDiffTest, SharedRulesAgreeOnBothTreesAtEveryNode) {
     deepweb::SetFleetEpoch(&world.fleet, epoch);
     auto corpus = world.FreshHtml();
     for (size_t page_index = 0; page_index < corpus.size(); ++page_index) {
-      core::Page page = core::Page::Parse("diff", corpus[page_index]);
+      LegacyPage page(corpus[page_index]);
       const html::TagTree& legacy = page.tree;
       const html::ArenaTree& hot = parser.Parse(corpus[page_index]);
       std::vector<html::NodeId> legacy_order = legacy.Preorder();
@@ -446,13 +409,13 @@ std::string SerializeResponses(const std::vector<Response>& responses) {
   return json.str();
 }
 
-// The legacy pipeline's response (Page::Parse + LocateDetailed +
+// The legacy pipeline's response (ParseHtml + LocateDetailed +
 // PartitionObjects + ObjectTexts) for one page under `registry`.
 Response LegacyResponse(const core::TemplateRegistry& registry,
                         const std::string& html, int64_t generation) {
   Response want;
   want.generation = generation;
-  core::Page page = core::Page::Parse("legacy", html);
+  LegacyPage page(html);
   auto located = registry.LocateDetailed(page.tree);
   if (located.node != html::kInvalidNode) {
     want.source = serve::ExtractionService::Source::kTemplate;
@@ -488,7 +451,7 @@ void ExpectServiceResponses(
 
 // Service-level closure: the store-backed service, at 1 and 4 worker
 // threads, must emit exactly the responses the legacy pipeline
-// (Page::Parse + LocateDetailed + PartitionObjects + ObjectTexts) builds
+// (ParseHtml + LocateDetailed + PartitionObjects + ObjectTexts) builds
 // over the in-memory registry, across drift epochs. The registry reaches
 // the service only through the store, so this also pins that a learned
 // registry survives persistence and locates identically.

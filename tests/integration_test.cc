@@ -12,6 +12,7 @@
 #include "src/core/thor.h"
 #include "src/deepweb/corpus.h"
 #include "src/deepweb/site_generator.h"
+#include "src/html/arena_parser.h"
 #include "src/html/parser.h"
 #include "src/html/serializer.h"
 
@@ -36,8 +37,10 @@ class FleetSweep : public ::testing::TestWithParam<uint64_t> {
 TEST_P(FleetSweep, SerializeParseRoundTripIsStructurePreserving) {
   for (const auto& sample : Corpus(2)) {
     for (const auto& page : sample.pages) {
+      // The serializer writes the legacy tree (it needs the attributes);
+      // reparsing its output must give back the learned tree's structure.
       html::TagTree reparsed =
-          html::ParseHtml(html::Serialize(page.tree));
+          html::ParseHtml(html::Serialize(html::ParseHtml(page.html)));
       EXPECT_EQ(reparsed.SubtreeSize(reparsed.root()),
                 page.tree.SubtreeSize(page.tree.root()))
           << page.query;
@@ -55,13 +58,13 @@ TEST_P(FleetSweep, ExtractionInvariants) {
     for (const auto& page_result : result->pages) {
       ASSERT_GE(page_result.page_index, 0);
       ASSERT_LT(page_result.page_index, static_cast<int>(pages.size()));
-      const html::TagTree& tree =
+      const html::ArenaTree& tree =
           pages[static_cast<size_t>(page_result.page_index)].tree;
       // The pagelet is a content-bearing tag node, never the whole page.
       ASSERT_GE(page_result.pagelet, 0);
       ASSERT_LT(page_result.pagelet, tree.node_count());
-      const html::Node& node = tree.node(page_result.pagelet);
-      EXPECT_EQ(node.kind, html::NodeKind::kTag);
+      const html::ArenaNode& node = tree.node(page_result.pagelet);
+      EXPECT_TRUE(node.is_tag());
       EXPECT_GT(node.content_length, 0);
       EXPECT_NE(page_result.pagelet, tree.root());
       // Objects tile inside the pagelet without duplicates.
@@ -113,7 +116,7 @@ TEST_P(FleetSweep, TemplateRegistryAgreesWithFullPipeline) {
     // from must reproduce (or relax-match) the pipeline's own answers.
     int agreements = 0;
     for (const auto& page_result : result->pages) {
-      const html::TagTree& tree =
+      const html::ArenaTree& tree =
           pages[static_cast<size_t>(page_result.page_index)].tree;
       html::NodeId located = registry.Locate(tree);
       if (core::PageletMatches(tree, located, page_result.pagelet)) {

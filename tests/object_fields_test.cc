@@ -2,19 +2,19 @@
 
 #include <gtest/gtest.h>
 
-#include "src/html/parser.h"
+#include "src/html/arena_parser.h"
 
 namespace thor::core {
 namespace {
 
-ObjectSpan SpanOf(const html::TagTree& tree, std::string_view path) {
+ObjectSpan SpanOf(const html::ArenaTree& tree, std::string_view path) {
   ObjectSpan span;
   span.parts.push_back(tree.ResolvePath(path));
   return span;
 }
 
 TEST(ObjectFieldsTest, TitleFromAnchor) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<li><a href='/x'>Garden Light Kit</a> plain trailing text</li>");
   auto fields = PartitionFields(tree, SpanOf(tree, "html/body/li"));
   ASSERT_GE(fields.size(), 2u);
@@ -24,7 +24,7 @@ TEST(ObjectFieldsTest, TitleFromAnchor) {
 }
 
 TEST(ObjectFieldsTest, LabeledPairs) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><i>Artist: The Midnight Owls</i><span>Label: Blue Note</span>"
       "</div>");
   auto fields = PartitionFields(tree, SpanOf(tree, "html/body/div"));
@@ -37,8 +37,8 @@ TEST(ObjectFieldsTest, LabeledPairs) {
 }
 
 TEST(ObjectFieldsTest, PriceParsing) {
-  html::TagTree tree =
-      html::ParseHtml("<div><span>$123.45</span></div>");
+  html::ArenaTree tree =
+      html::ParseArena("<div><span>$123.45</span></div>");
   auto fields = PartitionFields(tree, SpanOf(tree, "html/body/div"));
   ASSERT_EQ(fields.size(), 1u);
   EXPECT_EQ(fields[0].type, FieldType::kPrice);
@@ -46,8 +46,8 @@ TEST(ObjectFieldsTest, PriceParsing) {
 }
 
 TEST(ObjectFieldsTest, RatingParsing) {
-  html::TagTree tree =
-      html::ParseHtml("<div><em>4.2 stars</em></div>");
+  html::ArenaTree tree =
+      html::ParseArena("<div><em>4.2 stars</em></div>");
   auto fields = PartitionFields(tree, SpanOf(tree, "html/body/div"));
   ASSERT_EQ(fields.size(), 1u);
   EXPECT_EQ(fields[0].type, FieldType::kRating);
@@ -55,8 +55,8 @@ TEST(ObjectFieldsTest, RatingParsing) {
 }
 
 TEST(ObjectFieldsTest, YearParsing) {
-  html::TagTree tree =
-      html::ParseHtml("<div><small>electronics (1998)</small></div>");
+  html::ArenaTree tree =
+      html::ParseArena("<div><small>electronics (1998)</small></div>");
   auto fields = PartitionFields(tree, SpanOf(tree, "html/body/div"));
   ASSERT_EQ(fields.size(), 1u);
   EXPECT_EQ(fields[0].type, FieldType::kYear);
@@ -64,8 +64,8 @@ TEST(ObjectFieldsTest, YearParsing) {
 }
 
 TEST(ObjectFieldsTest, YearRejectsNonYearNumbers) {
-  html::TagTree tree =
-      html::ParseHtml("<div><span>item 123456 code 17</span></div>");
+  html::ArenaTree tree =
+      html::ParseArena("<div><span>item 123456 code 17</span></div>");
   auto fields = PartitionFields(tree, SpanOf(tree, "html/body/div"));
   ASSERT_EQ(fields.size(), 1u);
   // 123456 has digit neighbors on both sides of any 4-digit window; 17 is
@@ -74,7 +74,7 @@ TEST(ObjectFieldsTest, YearRejectsNonYearNumbers) {
 }
 
 TEST(ObjectFieldsTest, FallbackTitleWhenNothingEmphasized) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><span>Plain Product Name</span><span>$5.00</span></div>");
   auto fields = PartitionFields(tree, SpanOf(tree, "html/body/div"));
   ASSERT_EQ(fields.size(), 2u);
@@ -83,7 +83,7 @@ TEST(ObjectFieldsTest, FallbackTitleWhenNothingEmphasized) {
 }
 
 TEST(ObjectFieldsTest, OnlyFirstEmphasizedLeafIsTitle) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<li><b>Real Title</b> <b>Bold But Later</b></li>");
   auto fields = PartitionFields(tree, SpanOf(tree, "html/body/li"));
   ASSERT_EQ(fields.size(), 2u);
@@ -92,7 +92,7 @@ TEST(ObjectFieldsTest, OnlyFirstEmphasizedLeafIsTitle) {
 }
 
 TEST(ObjectFieldsTest, DtDdSpanTreatsDtAsTitle) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<dl><dt><a href='/i'>Album Name</a></dt>"
       "<dd>Artist: Silver Canyon, $9.99</dd></dl>");
   ObjectSpan span;
@@ -107,7 +107,7 @@ TEST(ObjectFieldsTest, DtDdSpanTreatsDtAsTitle) {
 }
 
 TEST(ObjectFieldsTest, LongColonTextIsNotALabel) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><p>this sentence happens to contain a colon somewhere in the "
       "middle of prose: and keeps going</p></div>");
   auto fields = PartitionFields(tree, SpanOf(tree, "html/body/div"));
@@ -116,7 +116,7 @@ TEST(ObjectFieldsTest, LongColonTextIsNotALabel) {
 }
 
 TEST(ObjectFieldsTest, PartitionAllFields) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<ul><li><b>One</b> $1.00</li><li><b>Two</b> $2.00</li></ul>");
   html::NodeId ul = tree.ResolvePath("html/body/ul");
   auto objects = PartitionObjects(tree, ul);
@@ -131,7 +131,7 @@ TEST(ObjectFieldsTest, PartitionAllFields) {
 
 TEST(ObjectFieldsTest, DtLabelsPairWithDdValues) {
   // Detail-page definition list: plain <dt> leaves label the <dd> values.
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<dl><dt>Title</dt><dd>Garden Light Kit</dd>"
       "<dt>Price</dt><dd>$34.50</dd>"
       "<dt>Year</dt><dd>1999</dd></dl>");
@@ -150,7 +150,7 @@ TEST(ObjectFieldsTest, DtLabelsPairWithDdValues) {
 }
 
 TEST(ObjectFieldsTest, ThLabelsPairWithTdValues) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<table><tr><th>Author</th><td>Eleanor Whitfield</td></tr>"
       "<tr><th>Rating</th><td>4.5 stars</td></tr></table>");
   ObjectSpan span = SpanOf(tree, "html/body/table");
@@ -165,7 +165,7 @@ TEST(ObjectFieldsTest, ThLabelsPairWithTdValues) {
 
 TEST(ObjectFieldsTest, LinkedDtIsATitleNotALabel) {
   // Result-listing dl: the dt holds the record title link, not a label.
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<dl><dt><a href='/i'>Walnut Desk</a></dt>"
       "<dd>Brand: Acme, $99.00</dd></dl>");
   ObjectSpan span;
@@ -178,8 +178,8 @@ TEST(ObjectFieldsTest, LinkedDtIsATitleNotALabel) {
 }
 
 TEST(ObjectFieldsTest, DanglingLabelBecomesText) {
-  html::TagTree tree =
-      html::ParseHtml("<dl><dt>Orphan</dt></dl>");
+  html::ArenaTree tree =
+      html::ParseArena("<dl><dt>Orphan</dt></dl>");
   ObjectSpan span = SpanOf(tree, "html/body/dl");
   auto fields = PartitionFields(tree, span);
   ASSERT_EQ(fields.size(), 1u);

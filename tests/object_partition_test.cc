@@ -5,13 +5,13 @@
 #include "src/core/evaluation.h"
 #include "src/deepweb/corpus.h"
 #include "src/deepweb/site_generator.h"
-#include "src/html/parser.h"
+#include "src/html/arena_parser.h"
 
 namespace thor::core {
 namespace {
 
 TEST(ObjectPartitionTest, SplitsTableRows) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<table><tr><td>first item</td></tr><tr><td>second item</td></tr>"
       "<tr><td>third item</td></tr></table>");
   html::NodeId table = tree.ResolvePath("html/body/table");
@@ -24,7 +24,7 @@ TEST(ObjectPartitionTest, SplitsTableRows) {
 }
 
 TEST(ObjectPartitionTest, SplitsListItems) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<ul><li>alpha one</li><li>beta two</li><li>gamma three</li>"
       "<li>delta four</li></ul>");
   html::NodeId ul = tree.ResolvePath("html/body/ul");
@@ -33,7 +33,7 @@ TEST(ObjectPartitionTest, SplitsListItems) {
 }
 
 TEST(ObjectPartitionTest, PairsDtDd) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<dl><dt>term a</dt><dd>def a</dd><dt>term b</dt><dd>def b</dd>"
       "<dt>term c</dt><dd>def c</dd></dl>");
   html::NodeId dl = tree.ResolvePath("html/body/dl");
@@ -48,7 +48,7 @@ TEST(ObjectPartitionTest, PairsDtDd) {
 
 TEST(ObjectPartitionTest, ToleratesTrailingPartialPeriod) {
   // dt/dd pairs with a dangling dt (truncated listing).
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<dl><dt>a</dt><dd>1</dd><dt>b</dt><dd>2</dd><dt>c</dt></dl>");
   html::NodeId dl = tree.ResolvePath("html/body/dl");
   auto objects = PartitionObjects(tree, dl);
@@ -59,7 +59,7 @@ TEST(ObjectPartitionTest, ToleratesTrailingPartialPeriod) {
 TEST(ObjectPartitionTest, ShapeFallbackForMixedTags) {
   // Repeated div items with a stray heading between groups defeats the
   // exact period but shape grouping finds the divs.
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><h3>section</h3>"
       "<div><a href='/1'>one</a> text</div>"
       "<div><a href='/2'>two</a> text</div>"
@@ -74,7 +74,7 @@ TEST(ObjectPartitionTest, ShapeFallbackForMixedTags) {
 
 TEST(ObjectPartitionTest, DetailRegionIsOneObject) {
   // No repetition below min_objects: the whole pagelet is a single object.
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><h4>unique heading</h4><p>lone description paragraph</p></div>");
   html::NodeId pagelet = tree.ResolvePath("html/body/div");
   ObjectPartitionOptions options;
@@ -85,12 +85,12 @@ TEST(ObjectPartitionTest, DetailRegionIsOneObject) {
 }
 
 TEST(ObjectPartitionTest, InvalidPageletYieldsNothing) {
-  html::TagTree tree = html::ParseHtml("<p>x</p>");
+  html::ArenaTree tree = html::ParseArena("<p>x</p>");
   EXPECT_TRUE(PartitionObjects(tree, html::kInvalidNode).empty());
 }
 
 TEST(ObjectPartitionTest, EmptySeparatorCellsIgnored) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<table><tr><td>a</td></tr><tr><td></td></tr>"
       "<tr><td>b</td></tr></table>");
   html::NodeId table = tree.ResolvePath("html/body/table");
@@ -100,7 +100,7 @@ TEST(ObjectPartitionTest, EmptySeparatorCellsIgnored) {
 }
 
 TEST(ObjectPartitionTest, ObjectTexts) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<ul><li>alpha one</li><li>beta two</li></ul>");
   html::NodeId ul = tree.ResolvePath("html/body/ul");
   auto objects = PartitionObjects(tree, ul);
@@ -112,14 +112,14 @@ TEST(ObjectPartitionTest, ObjectTexts) {
 
 TEST(CollapseFieldRowsTest, DetailPagesCollapseToOneRecord) {
   // Three detail pages: same field labels, different values.
-  std::vector<html::TagTree> storage;
+  std::vector<html::ArenaTree> storage;
   for (const char* name : {"Alpha One", "Beta Two", "Gamma Three"}) {
     std::string html = "<table>";
     html += "<tr><td>Title ";
     html += name;
     html += "</td></tr><tr><td>Price $9.99</td></tr>"
             "<tr><td>Year 1999</td></tr></table>";
-    storage.push_back(html::ParseHtml(html));
+    storage.push_back(html::ParseArena(html));
   }
   std::vector<PageObjects> pages;
   for (auto& tree : storage) {
@@ -138,7 +138,7 @@ TEST(CollapseFieldRowsTest, DetailPagesCollapseToOneRecord) {
 }
 
 TEST(CollapseFieldRowsTest, ResultListsAreLeftAlone) {
-  std::vector<html::TagTree> storage;
+  std::vector<html::ArenaTree> storage;
   const char* rows[3][3] = {
       {"Walnut Desk $10", "Maple Chair $20", "Oak Table $30"},
       {"Silver Ring $5", "Gold Band $50", "Brass Pin $2"},
@@ -152,7 +152,7 @@ TEST(CollapseFieldRowsTest, ResultListsAreLeftAlone) {
       html += "</li>";
     }
     html += "</ul>";
-    storage.push_back(html::ParseHtml(html));
+    storage.push_back(html::ParseArena(html));
   }
   std::vector<PageObjects> pages;
   for (auto& tree : storage) {
@@ -170,9 +170,9 @@ TEST(CollapseFieldRowsTest, ResultListsAreLeftAlone) {
 
 // Partitions the pagelet at `pagelet_path` on each page.
 std::vector<PageObjects> PartitionPages(
-    const std::vector<html::TagTree>& storage, const char* pagelet_path) {
+    const std::vector<html::ArenaTree>& storage, const char* pagelet_path) {
   std::vector<PageObjects> pages;
-  for (const html::TagTree& tree : storage) {
+  for (const html::ArenaTree& tree : storage) {
     PageObjects page;
     page.tree = &tree;
     page.pagelet = tree.ResolvePath(pagelet_path);
@@ -187,13 +187,13 @@ TEST(CollapseFieldRowsTest, LeadingTokenIsTheFirstContentNode) {
   // An object's leading token is the first word of its whole text: on
   // detail pages the label node ("Title"), on result pages the answer
   // node ("Walnut"), never a word of a later node.
-  std::vector<html::TagTree> details;
+  std::vector<html::ArenaTree> details;
   for (const char* name : {"Alpha One", "Beta Two", "Gamma Three"}) {
     std::string html = "<table><tr><td><b>Title</b>";
     html += name;
     html += "</td></tr><tr><td><b>Price</b><i>$9.99</i> each</td></tr>"
             "<tr><td><b>Year</b>1999</td></tr></table>";
-    details.push_back(html::ParseHtml(html));
+    details.push_back(html::ParseArena(html));
   }
   std::vector<PageObjects> detail_pages =
       PartitionPages(details, "html/body/table");
@@ -202,7 +202,7 @@ TEST(CollapseFieldRowsTest, LeadingTokenIsTheFirstContentNode) {
             "Title Alpha One");
   EXPECT_TRUE(CollapseFieldRowObjects(&detail_pages));
 
-  std::vector<html::TagTree> results;
+  std::vector<html::ArenaTree> results;
   const char* names[3][3] = {{"Walnut", "Maple", "Oak"},
                              {"Silver", "Gold", "Brass"},
                              {"Red", "Blue", "Green"}};
@@ -214,7 +214,7 @@ TEST(CollapseFieldRowsTest, LeadingTokenIsTheFirstContentNode) {
       html += "</b>In stock <i>ships</i> today</li>";
     }
     html += "</ul>";
-    results.push_back(html::ParseHtml(html));
+    results.push_back(html::ParseArena(html));
   }
   std::vector<PageObjects> result_pages =
       PartitionPages(results, "html/body/ul");
@@ -226,7 +226,7 @@ TEST(CollapseFieldRowsTest, LeadingTokenIsTheFirstContentNode) {
 }
 
 TEST(CollapseFieldRowsTest, TooFewPagesIsANoOp) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<table><tr><td>Title X</td></tr><tr><td>Price $1</td></tr>"
       "<tr><td>Year 1990</td></tr></table>");
   std::vector<PageObjects> pages;

@@ -5,7 +5,7 @@
 #include "src/core/thor.h"
 #include "src/deepweb/corpus.h"
 #include "src/deepweb/site_generator.h"
-#include "src/html/parser.h"
+#include "src/html/arena_parser.h"
 
 namespace thor::core {
 namespace {
@@ -13,7 +13,7 @@ namespace {
 // Phase-2 fixture over the multi-match pages of one simulated site.
 struct SiteClusterFixture {
   deepweb::SiteSample sample;
-  std::vector<const html::TagTree*> trees;
+  std::vector<const html::ArenaTree*> trees;
   std::vector<int> indices;
 
   explicit SiteClusterFixture(int site_id = 0,
@@ -80,7 +80,7 @@ TEST(PageletSelectionTest, PageletAnnotatedWithDynamicDescendants) {
   Phase2Result result = RunPhase2(fixture.trees, {});
   int with_descendants = 0;
   for (const auto& pagelet : result.pagelets) {
-    const html::TagTree& tree =
+    const html::ArenaTree& tree =
         *fixture.trees[static_cast<size_t>(pagelet.page_index)];
     for (html::NodeId node : pagelet.dynamic_descendants) {
       EXPECT_TRUE(tree.IsAncestorOrSelf(pagelet.node, node));
@@ -93,10 +93,10 @@ TEST(PageletSelectionTest, PageletAnnotatedWithDynamicDescendants) {
 
 TEST(PageletSelectionTest, NoDynamicSetsMeansNoPagelets) {
   // Identical pages: every region is static.
-  std::vector<html::TagTree> storage;
-  std::vector<const html::TagTree*> trees;
+  std::vector<html::ArenaTree> storage;
+  std::vector<const html::ArenaTree*> trees;
   for (int i = 0; i < 6; ++i) {
-    storage.push_back(html::ParseHtml(
+    storage.push_back(html::ParseArena(
         "<div><p>always the same words here</p></div>"
         "<table><tr><td>identical row</td></tr></table>"));
   }
@@ -110,7 +110,7 @@ TEST(PageletSelectionTest, NeverSelectsPageSizedSubtrees) {
   PageletSelectionOptions options;
   Phase2Result result = RunPhase2(fixture.trees, {});
   for (const auto& pagelet : result.pagelets) {
-    const html::TagTree& tree =
+    const html::ArenaTree& tree =
         *fixture.trees[static_cast<size_t>(pagelet.page_index)];
     double fraction = static_cast<double>(tree.SubtreeSize(pagelet.node)) /
                       tree.node(tree.root()).subtree_size;

@@ -101,7 +101,7 @@ TEST_F(PaperShapes, Figure6SyntheticScaleStability) {
 TEST_F(PaperShapes, Figure8CombinedDistanceBeatsSingleFeatures) {
   core::PrecisionRecall by_metric[2];  // 0 = fanout-only, 1 = combined
   for (const auto& sample : Corpus()) {
-    std::vector<const html::TagTree*> trees;
+    std::vector<const html::ArenaTree*> trees;
     std::vector<int> indices;
     for (size_t i = 0; i < sample.pages.size(); ++i) {
       if (sample.pages[i].true_class == deepweb::PageClass::kMultiMatch) {
@@ -131,7 +131,7 @@ TEST_F(PaperShapes, Figure9TfidfMakesSimilarityBimodal) {
   int high_with = 0;
   int middle_with = 0;
   for (const auto& sample : Corpus()) {
-    std::vector<const html::TagTree*> trees;
+    std::vector<const html::ArenaTree*> trees;
     for (const auto& page : sample.pages) {
       if (page.true_class == deepweb::PageClass::kMultiMatch) {
         trees.push_back(&page.tree);

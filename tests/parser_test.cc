@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/html/arena_parser.h"
+
 namespace thor::html {
 namespace {
 
@@ -266,25 +268,27 @@ TEST(ParserTruncationTest, EveryPrefixOfRealPageParses) {
   }
 }
 
+// The checked parse learning runs: HotParser under the shared rules.
+// label_diff_test holds ParseHtmlChecked to the same decisions.
 TEST(ParserCheckedTest, EmptyInputIsParseError) {
-  auto result = ParseHtmlChecked("");
+  auto result = ParseArenaChecked("");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kParseError);
-  auto ws = ParseHtmlChecked("   \n\t  ");
+  auto ws = ParseArenaChecked("   \n\t  ");
   EXPECT_FALSE(ws.ok());
 }
 
 TEST(ParserCheckedTest, MarkupYieldingNoElementsIsParseError) {
-  auto result = ParseHtmlChecked("<!-- only a comment -->");
+  auto result = ParseArenaChecked("<!-- only a comment -->");
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kParseError);
 }
 
 TEST(ParserCheckedTest, TruncatedButUsablePageSucceedsWithDiagnostics) {
   ParseDiagnostics diagnostics;
-  auto result = ParseHtmlChecked(
-      "<body><table><tr><td>row</td></tr><tr><td class=\"cu",
-      {}, &diagnostics);
+  auto result = ParseArenaChecked(
+      "<body><table><tr><td>row</td></tr><tr><td class=\"cu", {},
+      &diagnostics);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(diagnostics.truncated_markup);
   EXPECT_GE(diagnostics.tag_nodes, 4);
@@ -292,16 +296,16 @@ TEST(ParserCheckedTest, TruncatedButUsablePageSucceedsWithDiagnostics) {
 
 TEST(ParserCheckedTest, CleanPageHasNoTruncationFlag) {
   ParseDiagnostics diagnostics;
-  auto result = ParseHtmlChecked("<body><p>hello</p></body>", {},
-                                 &diagnostics);
+  auto result = ParseArenaChecked("<body><p>hello</p></body>", {},
+                                  &diagnostics);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(diagnostics.truncated_markup);
 }
 
 TEST(ParserCheckedTest, TrailingLiteralLessThanIsNotTruncation) {
   ParseDiagnostics diagnostics;
-  auto result = ParseHtmlChecked("<body><p>a &lt; b, i.e. a <</p>", {},
-                                 &diagnostics);
+  auto result = ParseArenaChecked("<body><p>a &lt; b, i.e. a <</p>", {},
+                                  &diagnostics);
   ASSERT_TRUE(result.ok());
 }
 

@@ -2,13 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "src/html/parser.h"
+#include "src/html/arena_parser.h"
 
 namespace thor::core {
 namespace {
 
 TEST(SignatureBuilderTest, TagCountsOnKnownPage) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<body><table><tr><td>a</td><td>b</td></tr></table><p>c</p></body>");
   ir::SparseVector tags = TagCountVector(tree);
   EXPECT_DOUBLE_EQ(tags.At(html::Tag::kHtml), 1.0);
@@ -21,7 +21,7 @@ TEST(SignatureBuilderTest, TagCountsOnKnownPage) {
 }
 
 TEST(SignatureBuilderTest, TagCountsForSubtree) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><p>x</p></div><table><tr><td>y</td></tr></table>");
   html::NodeId table = tree.ResolvePath("html/body/table");
   ASSERT_NE(table, html::kInvalidNode);
@@ -33,8 +33,8 @@ TEST(SignatureBuilderTest, TagCountsForSubtree) {
 }
 
 TEST(SignatureBuilderTest, TermVectorStemsAndCounts) {
-  html::TagTree tree =
-      html::ParseHtml("<p>running runs</p><p>the guitar</p>");
+  html::ArenaTree tree =
+      html::ParseArena("<p>running runs</p><p>the guitar</p>");
   ir::Vocabulary vocab;
   ir::SparseVector terms = TermCountVector(tree, &vocab);
   // "running" and "runs" stem to "run" (count 2); "the" is a stopword.
@@ -48,8 +48,8 @@ TEST(SignatureBuilderTest, TermVectorStemsAndCounts) {
 }
 
 TEST(SignatureBuilderTest, SharedVocabularyAlignsPages) {
-  html::TagTree a = html::ParseHtml("<p>guitar solo</p>");
-  html::TagTree b = html::ParseHtml("<p>guitar band</p>");
+  html::ArenaTree a = html::ParseArena("<p>guitar solo</p>");
+  html::ArenaTree b = html::ParseArena("<p>guitar band</p>");
   ir::Vocabulary vocab;
   ir::SparseVector va = TermCountVector(a, &vocab);
   ir::SparseVector vb = TermCountVector(b, &vocab);
@@ -59,7 +59,7 @@ TEST(SignatureBuilderTest, SharedVocabularyAlignsPages) {
 }
 
 TEST(SignatureBuilderTest, DistinctCounts) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><p>alpha beta</p><p>alpha gamma delta</p></div>");
   EXPECT_EQ(DistinctTermCount(tree), 4);
   // html, head?, body, div, p  -- head only if synthesized; count distinct
@@ -70,7 +70,7 @@ TEST(SignatureBuilderTest, DistinctCounts) {
 }
 
 TEST(SignatureBuilderTest, ScriptContentExcludedFromTerms) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<script>var secretword = 1;</script><p>visible</p>");
   ir::Vocabulary vocab;
   TermCountVector(tree, &vocab);

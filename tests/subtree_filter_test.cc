@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/html/parser.h"
+#include "src/html/arena_parser.h"
 
 namespace thor::core {
 namespace {
@@ -16,7 +16,7 @@ bool Contains(const std::vector<html::NodeId>& candidates,
 }
 
 TEST(SubtreeFilterTest, ContentFreeSubtreesExcluded) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><img src='a'><br></div><table><tr><td>data</td></tr></table>");
   auto candidates = CandidateSubtrees(tree);
   html::NodeId empty_div = tree.ResolvePath("html/body/div");
@@ -29,7 +29,7 @@ TEST(SubtreeFilterTest, ContentFreeSubtreesExcluded) {
 }
 
 TEST(SubtreeFilterTest, PageRootAndBodyNeverCandidates) {
-  html::TagTree tree = html::ParseHtml("<p>content here</p>");
+  html::ArenaTree tree = html::ParseArena("<p>content here</p>");
   auto candidates = CandidateSubtrees(tree);
   EXPECT_FALSE(Contains(candidates, tree.root()));
   EXPECT_FALSE(Contains(candidates, tree.ResolvePath("html/body")));
@@ -38,7 +38,7 @@ TEST(SubtreeFilterTest, PageRootAndBodyNeverCandidates) {
 TEST(SubtreeFilterTest, ExactWrapperExcludedChildKept) {
   // div wraps a table carrying 100% of the content: the div must go,
   // the table must stay.
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><table><tr><td>a</td></tr><tr><td>b</td></tr></table></div>");
   auto candidates = CandidateSubtrees(tree);
   EXPECT_FALSE(Contains(candidates, tree.ResolvePath("html/body/div")));
@@ -47,7 +47,7 @@ TEST(SubtreeFilterTest, ExactWrapperExcludedChildKept) {
 
 TEST(SubtreeFilterTest, FuzzyWrapperExcludedAtDefaultThreshold) {
   // The heading is tiny next to the list: the div is still a wrapper.
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><h2>hi</h2><ul><li>aaaaaaaaaaaaaaaaaaaaaaaaaaaaa</li>"
       "<li>bbbbbbbbbbbbbbbbbbbbbbbbbbbbb</li>"
       "<li>ccccccccccccccccccccccccccccc</li></ul></div>");
@@ -57,7 +57,7 @@ TEST(SubtreeFilterTest, FuzzyWrapperExcludedAtDefaultThreshold) {
 }
 
 TEST(SubtreeFilterTest, BalancedParentIsNotAWrapper) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><p>first half of the content</p>"
       "<p>second half of the content</p></div>");
   auto candidates = CandidateSubtrees(tree);
@@ -65,7 +65,7 @@ TEST(SubtreeFilterTest, BalancedParentIsNotAWrapper) {
 }
 
 TEST(SubtreeFilterTest, WrapperThresholdConfigurable) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><h2>hi</h2><ul><li>aaaaaaaaaaaaaaaaaaaaaaaaaaaaa</li>"
       "<li>bbbbbbbbbbbbbbbbbbbbbbbbbbbbb</li></ul></div>");
   SubtreeFilterOptions strict;
@@ -77,7 +77,7 @@ TEST(SubtreeFilterTest, WrapperThresholdConfigurable) {
 TEST(SubtreeFilterTest, InlineDominatorDoesNotMakeWrapper) {
   // <dt><a>title text</a></dt>: the <a> holds all content but is inline,
   // so <dt> stays a candidate (and <a> itself is never one).
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<dl><dt><a href='/x'>some title words</a></dt>"
       "<dd>other description words</dd></dl>");
   auto candidates = CandidateSubtrees(tree);
@@ -89,7 +89,7 @@ TEST(SubtreeFilterTest, InlineDominatorDoesNotMakeWrapper) {
 TEST(SubtreeFilterTest, BranchingRuleRequiresFanoutOrDirectContent) {
   // <div><ul>...</ul></div> where ul has <30% of content... simpler:
   // a single-child chain without direct content fails rule 3.
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><p>one tiny</p><p>two tiny</p><p>three tiny</p>"
       "<span>packaging wrapper only</span></div>");
   SubtreeFilterOptions options;
@@ -100,8 +100,8 @@ TEST(SubtreeFilterTest, BranchingRuleRequiresFanoutOrDirectContent) {
 }
 
 TEST(SubtreeFilterTest, MinContentLengthFilters) {
-  html::TagTree tree =
-      html::ParseHtml("<div><p>ab</p><p>this one is much longer</p></div>");
+  html::ArenaTree tree =
+      html::ParseArena("<div><p>ab</p><p>this one is much longer</p></div>");
   SubtreeFilterOptions options;
   options.min_content_length = 10;
   auto candidates = CandidateSubtrees(tree, options);
@@ -110,7 +110,7 @@ TEST(SubtreeFilterTest, MinContentLengthFilters) {
 }
 
 TEST(SubtreeFilterTest, CandidatesAreInDocumentOrder) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><p>alpha one</p><p>beta two</p></div><ul><li>x y</li>"
       "<li>z w</li></ul>");
   auto candidates = CandidateSubtrees(tree);
@@ -120,12 +120,12 @@ TEST(SubtreeFilterTest, CandidatesAreInDocumentOrder) {
 }
 
 TEST(SubtreeFilterTest, EveryCandidateHasContent) {
-  html::TagTree tree = html::ParseHtml(
+  html::ArenaTree tree = html::ParseArena(
       "<div><p>text</p><div><img src='x'></div>"
       "<table><tr><td></td></tr><tr><td>z</td></tr></table></div>");
   for (html::NodeId id : CandidateSubtrees(tree)) {
     EXPECT_GT(tree.node(id).content_length, 0);
-    EXPECT_EQ(tree.node(id).kind, html::NodeKind::kTag);
+    EXPECT_TRUE(tree.node(id).is_tag());
   }
 }
 

@@ -13,10 +13,11 @@
 #include "src/core/subtree_filter.h"
 #include "src/deepweb/corpus.h"
 #include "src/deepweb/site_generator.h"
-#include "src/html/parser.h"
+#include "src/html/arena_parser.h"
 #include "src/ir/similarity.h"
 #include "src/ir/tfidf.h"
 #include "src/ir/vocabulary.h"
+#include "src/text/term_tokenizer.h"
 
 namespace thor::core {
 namespace {
@@ -26,23 +27,23 @@ uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 // Test-local copy of one set's score before term analysis was memoized:
 // ExtractTerms per content node, a fresh Vocabulary per set, FromCounts, a
 // TfidfModel fitted on the set, and the mean cosine over all pairs.
-double ReferenceIntraSimilarity(const std::vector<const html::TagTree*>& trees,
+double ReferenceIntraSimilarity(const std::vector<const html::ArenaTree*>& trees,
                                 const CommonSubtreeSet& set,
                                 const SubtreeRankOptions& options) {
   if (set.members.size() < 2) return 1.0;
   ir::Vocabulary vocab;
   std::vector<ir::SparseVector> counts;
   for (const SubtreeRef& ref : set.members) {
-    const html::TagTree& tree = *trees[static_cast<size_t>(ref.page_index)];
+    const html::ArenaTree& tree = *trees[static_cast<size_t>(ref.page_index)];
     std::unordered_map<int32_t, int> member_counts;
-    for (html::NodeId id : tree.SubtreeNodes(ref.node)) {
-      const html::Node& n = tree.node(id);
-      if (n.kind != html::NodeKind::kContent) continue;
+    tree.ForEachInSubtree(ref.node, [&](html::NodeId id) {
+      const html::ArenaNode& n = tree.node(id);
+      if (n.is_tag()) return;
       for (const std::string& term :
-           text::ExtractTerms(n.text, options.terms)) {
+           text::ExtractTerms(n.text(), text::TermOptions{})) {
         ++member_counts[vocab.Intern(term)];
       }
-    }
+    });
     counts.push_back(ir::SparseVector::FromCounts(member_counts));
   }
   ir::TfidfModel model = ir::TfidfModel::Fit(counts);
@@ -79,12 +80,19 @@ TEST(SubtreeRankingTest, MemoizedTermsMatchPerSetVocabularyBitForBit) {
       std::vector<Page> pages = ToPages(deepweb::BuildSiteSample(site, probe));
       auto clustering = ClusterPages(pages, {});
       ASSERT_TRUE(clustering.ok());
+      // Every page of the site analysed at once, as RunThor shares one
+      // analysis among all clusters.
+      std::vector<const html::ArenaTree*> site_trees;
+      for (const Page& page : pages) site_trees.push_back(&page.tree);
+      const PageTerms site_terms(site_trees);
       for (int c = 0; c < clustering->k; ++c) {
-        std::vector<const html::TagTree*> trees;
+        std::vector<const html::ArenaTree*> trees;
+        std::vector<int> term_pages;
         std::vector<std::vector<html::NodeId>> candidates;
         for (size_t i = 0; i < pages.size(); ++i) {
           if (clustering->assignment[i] != c) continue;
           trees.push_back(&pages[i].tree);
+          term_pages.push_back(static_cast<int>(i));
           candidates.push_back(CandidateSubtrees(pages[i].tree));
         }
         if (trees.size() < 2) continue;
@@ -107,18 +115,24 @@ TEST(SubtreeRankingTest, MemoizedTermsMatchPerSetVocabularyBitForBit) {
                     });
           for (int threads : {1, 4}) {
             options.threads = threads;
-            auto ranked = RankSubtreeSets(trees, sets, options);
-            ASSERT_EQ(ranked.size(), expected.size());
-            for (size_t i = 0; i < ranked.size(); ++i) {
-              ASSERT_EQ(Bits(ranked[i].intra_similarity),
-                        Bits(expected[i].intra_similarity))
-                  << "tfidf " << use_tfidf << " threads " << threads;
-              const auto& got = ranked[i].set.members;
-              const auto& want = expected[i].set.members;
-              ASSERT_EQ(got.size(), want.size());
-              for (size_t m = 0; m < got.size(); ++m) {
-                EXPECT_EQ(got[m].page_index, want[m].page_index);
-                EXPECT_EQ(got[m].node, want[m].node);
+            // Each cluster on its own analysis, and on the site's shared
+            // one.
+            for (const auto& ranked :
+                 {RankSubtreeSets(trees, sets, options),
+                  RankSubtreeSets(trees, sets, site_terms, term_pages,
+                                  options)}) {
+              ASSERT_EQ(ranked.size(), expected.size());
+              for (size_t i = 0; i < ranked.size(); ++i) {
+                ASSERT_EQ(Bits(ranked[i].intra_similarity),
+                          Bits(expected[i].intra_similarity))
+                    << "tfidf " << use_tfidf << " threads " << threads;
+                const auto& got = ranked[i].set.members;
+                const auto& want = expected[i].set.members;
+                ASSERT_EQ(got.size(), want.size());
+                for (size_t m = 0; m < got.size(); ++m) {
+                  EXPECT_EQ(got[m].page_index, want[m].page_index);
+                  EXPECT_EQ(got[m].node, want[m].node);
+                }
               }
             }
           }
@@ -138,13 +152,13 @@ std::string MixedPage(const std::string& dynamic_text) {
 }
 
 struct Fixture {
-  std::vector<html::TagTree> storage;
-  std::vector<const html::TagTree*> trees;
+  std::vector<html::ArenaTree> storage;
+  std::vector<const html::ArenaTree*> trees;
   std::vector<CommonSubtreeSet> sets;
 
   explicit Fixture(const std::vector<std::string>& dynamic_texts) {
     for (const auto& text : dynamic_texts) {
-      storage.push_back(html::ParseHtml(MixedPage(text)));
+      storage.push_back(html::ParseArena(MixedPage(text)));
     }
     std::vector<std::vector<html::NodeId>> candidates;
     for (const auto& tree : storage) {
@@ -205,10 +219,10 @@ TEST(SubtreeRankingTest, IsDynamicThreshold) {
 }
 
 TEST(SubtreeRankingTest, SingletonSetGetsSimilarityOne) {
-  html::TagTree tree = html::ParseHtml("<p>lonely content</p>");
+  html::ArenaTree tree = html::ParseArena("<p>lonely content</p>");
   CommonSubtreeSet set;
   set.members.push_back({0, tree.ResolvePath("html/body/p")});
-  std::vector<const html::TagTree*> trees = {&tree};
+  std::vector<const html::ArenaTree*> trees = {&tree};
   auto ranked = RankSubtreeSets(trees, {set}, {});
   ASSERT_EQ(ranked.size(), 1u);
   EXPECT_DOUBLE_EQ(ranked[0].intra_similarity, 1.0);
@@ -247,7 +261,7 @@ TEST(SubtreeRankingTest, IdenticalContentScoresExactlyOne) {
 }
 
 TEST(SubtreeRankingTest, EmptySetsListIsFine) {
-  std::vector<const html::TagTree*> trees;
+  std::vector<const html::ArenaTree*> trees;
   EXPECT_TRUE(RankSubtreeSets(trees, {}, {}).empty());
 }
 

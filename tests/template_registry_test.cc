@@ -110,8 +110,8 @@ TEST(TemplateRegistryTest, ExtractProducesObjects) {
 
 TEST(TemplateRegistryTest, EmptyRegistryLocatesNothing) {
   TemplateRegistry registry;
-  html::TagTree tree =
-      html::ParseHtml("<table><tr><td>content</td></tr></table>");
+  html::ArenaTree tree =
+      html::ParseArena("<table><tr><td>content</td></tr></table>");
   EXPECT_EQ(registry.Locate(tree), html::kInvalidNode);
   EXPECT_TRUE(registry.empty());
 }

@@ -166,7 +166,7 @@ bool LoadPagesFromDir(const std::string& dir, std::vector<core::Page>* pages,
 }
 
 // JSON rendering of one extraction (pagelet + objects + fields).
-void WriteExtractionJson(const html::TagTree& tree, const std::string& name,
+void WriteExtractionJson(const html::ArenaTree& tree, const std::string& name,
                          html::NodeId pagelet,
                          const std::vector<core::ObjectSpan>& objects,
                          JsonWriter* json) {
