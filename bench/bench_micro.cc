@@ -17,7 +17,8 @@
 #include "src/deepweb/prober.h"
 #include "src/deepweb/site_generator.h"
 #include "src/html/arena_parser.h"
-#include "src/html/parser.h"
+#include "tests/oracle/parser.h"
+#include "tests/oracle/reference_locate.h"
 #include "src/ir/similarity.h"
 #include "src/ir/tfidf.h"
 #include "src/text/edit_distance.h"
@@ -91,14 +92,15 @@ const core::TemplateRegistry& BenchRegistry() {
   return registry;
 }
 
-// The serving hot loop on the legacy parser and tree, the reference the
-// ratio gate divides by: parse + locate per request.
+// The serving hot loop on the test oracle's parser, tree and reference
+// Locate, the reference the ratio gate divides by: parse + locate per
+// request.
 void BM_ParseLocate(benchmark::State& state) {
   const std::string& html = MultiMatchHtml();
   const core::TemplateRegistry& registry = BenchRegistry();
   for (auto _ : state) {
     html::TagTree tree = html::ParseHtml(html);
-    auto located = registry.LocateDetailed(tree);
+    auto located = core::LocateDetailed(registry, tree);
     benchmark::DoNotOptimize(located.template_index);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
@@ -228,12 +230,12 @@ void BM_SinglePageAnalysis(benchmark::State& state) {
 BENCHMARK(BM_SinglePageAnalysis);
 
 void BM_ZhangShasha(benchmark::State& state) {
-  treedist::OrderedTree a = treedist::OrderedTree::FromTagTree(
+  treedist::OrderedTree a = treedist::OrderedTree::FromTree(
       MultiMatchTree(), MultiMatchTree().root());
   html::ArenaTree other_tree =
       html::ParseArena(BenchSite().Query("guitar").html);
   treedist::OrderedTree b =
-      treedist::OrderedTree::FromTagTree(other_tree, other_tree.root());
+      treedist::OrderedTree::FromTree(other_tree, other_tree.root());
   for (auto _ : state) {
     benchmark::DoNotOptimize(treedist::TreeEditDistance(a, b));
   }

@@ -46,7 +46,7 @@ int Main(int argc, char** argv) {
   subsample = std::min(subsample, n);
   std::vector<treedist::OrderedTree> trees;
   for (int i = 0; i < subsample; ++i) {
-    trees.push_back(treedist::OrderedTree::FromTagTree(
+    trees.push_back(treedist::OrderedTree::FromTree(
         sample.pages[static_cast<size_t>(i)].tree,
         sample.pages[static_cast<size_t>(i)].tree.root()));
   }

@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "src/core/evaluation.h"
+#include "src/core/hot_extractor.h"
 #include "src/core/template_registry.h"
 #include "src/core/thor.h"
 #include "src/deepweb/corpus.h"
@@ -51,6 +52,9 @@ int main() {
   }
 
   // --- serving: fresh queries through the fast path ---------------------
+  const core::CompiledTemplates templates =
+      core::CompiledTemplates::Compile(registry);
+  core::HotExtractor extractor;
   Rng rng(2026);
   int answers = 0;
   int correct = 0;
@@ -65,17 +69,16 @@ int main() {
     if (!labeled.ok()) continue;
     const deepweb::LabeledPage& page = *labeled;
     auto t1 = Clock::now();
-    auto extraction = registry.Extract(page.tree);
+    const html::NodeId pagelet = extractor.Locate(page.tree, templates).node;
     serve_ms +=
         std::chrono::duration<double, std::milli>(Clock::now() - t1).count();
     if (page.pagelet_node != html::kInvalidNode) ++answers;
-    if (extraction.pagelet == html::kInvalidNode) {
+    if (pagelet == html::kInvalidNode) {
       if (page.pagelet_node == html::kInvalidNode) ++skipped_no_match;
       continue;
     }
     ++located;
-    if (core::PageletMatches(page.tree, extraction.pagelet,
-                             page.pagelet_node)) {
+    if (core::PageletMatches(page.tree, pagelet, page.pagelet_node)) {
       ++correct;
     }
   }

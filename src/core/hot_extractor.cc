@@ -65,7 +65,7 @@ double HotExtractor::PathTerm(const html::ArenaTree& tree,
   if (slot < 0.0) {
     std::string_view path = tree.path(path_id);
     // Compare the symbol *strings*, not path ids: the 62-symbol alphabet
-    // aliases distinct tag chains, and LocateDetailed's distance treats aliased
+    // aliases distinct tag chains, and the shape distance treats aliased
     // paths as equal.
     slot = (path == tmpl.prototype.path_symbols)
                ? 0.0
@@ -77,21 +77,19 @@ double HotExtractor::PathTerm(const html::ArenaTree& tree,
 
 double HotExtractor::Distance(const html::ArenaTree& tree,
                               const CompiledTemplate& tmpl,
-                              const HotQuad& quad,
-                              const ShapeDistanceWeights& weights) {
+                              const HotQuad& quad) {
   return ShapeDistanceWithPathTerm(tmpl.prototype, quad,
                                    PathTerm(tree, tmpl, quad.path_id),
-                                   weights);
+                                   ShapeDistanceWeights{});
 }
 
 TemplateRegistry::Located HotExtractor::Locate(
-    const html::ArenaTree& tree, const CompiledTemplates& templates,
-    const TemplateApplyOptions& apply) {
+    const html::ArenaTree& tree, const CompiledTemplates& templates) {
   TemplateRegistry::Located located;
   candidates_.clear();
   quads_.clear();
   tree.ForEachInSubtree(tree.root(), [&](html::NodeId id) {
-    if (!IsCandidateRoot(tree, id, apply.filter)) return;
+    if (!IsCandidateRoot(tree, id, SubtreeFilterOptions{})) return;
     const html::ArenaNode& n = tree.node(id);
     candidates_.push_back(id);
     quads_.push_back({n.path_id, n.fanout, n.depth, n.subtree_size});
@@ -107,7 +105,8 @@ TemplateRegistry::Located HotExtractor::Locate(
     term_memo_.assign(tree.path_count(), -1.0);
     html::NodeId best = html::kInvalidNode;
     double best_distance = tmpl.max_distance;
-    // Exact-path candidates first (<= keeps the last tie, like LocateDetailed).
+    // Exact-path candidates first (<= keeps the last tie: a later candidate
+    // at the same distance wins).
     for (size_t i = 0; i < quads_.size(); ++i) {
       uint32_t p = quads_[i].path_id;
       uint8_t& exact_flag = exact_memo_[p];
@@ -115,7 +114,7 @@ TemplateRegistry::Located HotExtractor::Locate(
         exact_flag = tree.path(p) == tmpl.path_symbols ? 1 : 0;
       }
       if (exact_flag == 0) continue;
-      double d = Distance(tree, tmpl, quads_[i], apply.weights);
+      double d = Distance(tree, tmpl, quads_[i]);
       if (d <= best_distance) {
         best_distance = d;
         best = candidates_[i];
@@ -125,7 +124,7 @@ TemplateRegistry::Located HotExtractor::Locate(
     if (!exact) {
       // Shape fallback over all candidates (< keeps the first minimum).
       for (size_t i = 0; i < quads_.size(); ++i) {
-        double d = Distance(tree, tmpl, quads_[i], apply.weights);
+        double d = Distance(tree, tmpl, quads_[i]);
         if (d < best_distance) {
           best_distance = d;
           best = candidates_[i];
@@ -144,17 +143,16 @@ TemplateRegistry::Located HotExtractor::Locate(
   return located;
 }
 
-HotExtractor::Result HotExtractor::Extract(
-    std::string_view html, const CompiledTemplates& templates,
-    const TemplateApplyOptions& apply,
-    const ObjectPartitionOptions& partition) {
+HotExtractor::Result HotExtractor::Extract(std::string_view html,
+                                           const CompiledTemplates& templates) {
   Result result;
   const html::ArenaTree& tree = parser_.Parse(html);
-  result.located = Locate(tree, templates, apply);
+  result.located = Locate(tree, templates);
   if (result.located.node == html::kInvalidNode) return result;
   result.hit = true;
   result.pagelet_path = tree.PathString(result.located.node);
-  PartitionInto(tree, result.located.node, {}, partition, &objects_);
+  PartitionInto(tree, result.located.node, {}, ObjectPartitionOptions{},
+                &objects_);
   result.objects.resize(objects_.size());
   for (size_t k = 0; k < objects_.size(); ++k) {
     AppendObjectText(tree, objects_.object(k), &result.objects[k]);

@@ -45,18 +45,21 @@ class CompiledTemplates {
   std::vector<CompiledTemplate> templates_;
 };
 
-/// \brief One-pass parse → signature → locate → partition engine.
+/// \brief One-pass parse → signature → locate → partition engine: the one
+/// Locate the library has.
 ///
-/// Produces results bit-identical to the reference pipeline
-/// (ParseHtml + TemplateRegistry::LocateDetailed + PartitionObjects +
-/// ObjectTexts) — the contract the differential harness enforces — while
-/// reusing one arena, one parser, and all scratch buffers across calls.
-/// The candidate filter (`IsCandidateRoot`), the shape arithmetic, Stage 3
+/// Locate filters the page's candidates, then tries each template in
+/// order: the stable-tag gate, exact-path candidates first, then the
+/// nearest shape within the template's budget; a page no template fits is
+/// a miss. One arena, one parser and all scratch buffers are reused across
+/// calls. The candidate filter, the shape arithmetic, Stage 3
 /// (`PartitionInto`) and the object text are the templates learning runs
-/// too; only Locate is specific to this path. Locate's path
-/// comparisons run on the page-local interned path table: the exact-path
-/// flag and the prototype edit-distance term are computed once per
-/// distinct path id per template instead of once per candidate.
+/// too, at their default options; only Locate is specific to this path.
+/// Its path comparisons run on the page-local interned path table: the
+/// exact-path flag and the prototype edit-distance term are computed once
+/// per distinct path id per template instead of once per candidate.
+/// tests/hotpath_diff_test.cc holds every result bit-identical to the
+/// test oracle's parser, tree and reference Locate (tests/oracle/).
 ///
 /// Not thread-safe; keep one HotExtractor per worker thread (it is designed
 /// to live in a thread_local and survive across ExtractBatch calls).
@@ -65,7 +68,7 @@ class HotExtractor {
   struct Result {
     /// Located.node != kInvalidNode.
     bool hit = false;
-    /// Same fields (bitwise) as TemplateRegistry::LocateDetailed.
+    /// What Locate found.
     TemplateRegistry::Located located;
     /// PathString of the pagelet (empty on a miss).
     std::string pagelet_path;
@@ -74,17 +77,14 @@ class HotExtractor {
   };
 
   /// Full serving-path extraction for one page.
-  Result Extract(std::string_view html, const CompiledTemplates& templates,
-                 const TemplateApplyOptions& apply = {},
-                 const ObjectPartitionOptions& partition = {});
+  Result Extract(std::string_view html, const CompiledTemplates& templates);
 
   /// Pieces exposed for the differential harness and benches. The returned
   /// tree is valid until the next Parse/Extract call.
   const html::ArenaTree& Parse(std::string_view html,
                                const html::ParseOptions& options = {});
   TemplateRegistry::Located Locate(const html::ArenaTree& tree,
-                                   const CompiledTemplates& templates,
-                                   const TemplateApplyOptions& apply = {});
+                                   const CompiledTemplates& templates);
   /// Whole-page tag-count signature of the last parsed tree
   /// (`TagCountVector`, read off the fused counts).
   ir::SparseVector PageTagCounts() const;
@@ -102,7 +102,7 @@ class HotExtractor {
   double PathTerm(const html::ArenaTree& tree, const CompiledTemplate& tmpl,
                   uint32_t path_id);
   double Distance(const html::ArenaTree& tree, const CompiledTemplate& tmpl,
-                  const HotQuad& quad, const ShapeDistanceWeights& weights);
+                  const HotQuad& quad);
 
   html::HotParser parser_;
 

@@ -63,7 +63,7 @@ enum class PartitionRule { kPeriod, kShapeGroup, kWholePagelet };
 
 /// \brief Stage 3: partitions a QA-Pagelet into itemized QA-Objects,
 /// written once over `html::ReadableTree` (learning and serving read the
-/// ArenaTree, the differential tests also the legacy TagTree).
+/// ArenaTree, the differential tests also the test oracle's tree).
 ///
 /// Detects the repeated structure among the pagelet root's tag children
 /// that carry content: first by exact repeated tag-period (handles table

@@ -38,7 +38,7 @@ struct SubtreeFilterOptions {
 /// single child (the child is the better candidate), and require local
 /// branching at the root. The page root itself is never a candidate.
 /// Written once over `html::ReadableTree`: learning and serving read the
-/// ArenaTree, the differential tests also the legacy TagTree.
+/// ArenaTree, the differential tests also the test oracle's tree.
 template <html::ReadableTree Tree>
 bool IsCandidateRoot(const Tree& tree, html::NodeId id,
                      const SubtreeFilterOptions& options) {

@@ -4,8 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "src/core/object_partition.h"
-#include "src/core/subtree_filter.h"
+#include "src/core/common_subtrees.h"
 #include "src/core/thor.h"
 #include "src/ir/sparse_vector.h"
 
@@ -45,13 +44,10 @@ struct ExtractionTemplate {
   double min_stable_match = 0.93;
 };
 
-/// Options for applying a template to a fresh page.
-struct TemplateApplyOptions {
-  SubtreeFilterOptions filter;
-  ShapeDistanceWeights weights;
-};
-
 /// \brief Registry of learned templates for one site.
+///
+/// Holds the templates; `core::HotExtractor` locates with them, after
+/// `CompiledTemplates::Compile` lowers them for the serving loop.
 class TemplateRegistry {
  public:
   /// Learns one template per passed page cluster from a completed THOR run
@@ -71,8 +67,9 @@ class TemplateRegistry {
   }
   bool empty() const { return templates_.empty(); }
 
-  /// Everything Locate knows about how well the winning template fit —
-  /// what the serving layer turns into a per-response confidence.
+  /// Everything `HotExtractor::Locate` knows about how well the winning
+  /// template fit — what the serving layer turns into a per-response
+  /// confidence.
   struct Located {
     html::NodeId node = html::kInvalidNode;
     /// Shape distance between the winning candidate and the winning
@@ -90,40 +87,6 @@ class TemplateRegistry {
     /// surviving verbatim is strong evidence even when the shape drifted.
     double Confidence() const;
   };
-
-  /// Locates the QA-Pagelet on a fresh page: candidates are filtered as in
-  /// single-page analysis, then matched against each template (exact path
-  /// first, then nearest shape within the template's distance budget).
-  /// Returns a miss (node kInvalidNode) when no template fits — e.g. a
-  /// no-match page. Written once over `html::ReadableTree` and
-  /// instantiated for the ArenaTree and for the legacy TagTree, the
-  /// denominator of bench_micro's ratio gate; serving locates with
-  /// `HotExtractor::Locate`, which the differential tests hold to this.
-  template <html::ReadableTree Tree>
-  Located LocateDetailed(const Tree& tree,
-                         const TemplateApplyOptions& options = {}) const;
-
-  template <html::ReadableTree Tree>
-  html::NodeId Locate(const Tree& tree,
-                      const TemplateApplyOptions& options = {}) const {
-    return LocateDetailed(tree, options).node;
-  }
-
-  /// Locate + Stage-3 partitioning in one call.
-  struct Extraction {
-    html::NodeId pagelet = html::kInvalidNode;
-    std::vector<ObjectSpan> objects;
-  };
-  template <html::ReadableTree Tree>
-  Extraction Extract(const Tree& tree,
-                     const TemplateApplyOptions& options = {},
-                     const ObjectPartitionOptions& objects = {}) const {
-    Extraction extraction;
-    extraction.pagelet = Locate(tree, options);
-    extraction.objects =
-        PartitionObjects(tree, extraction.pagelet, {}, objects);
-    return extraction;
-  }
 
  private:
   std::vector<ExtractionTemplate> templates_;

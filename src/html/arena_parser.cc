@@ -18,12 +18,6 @@ bool IsTagNameChar(char c) {
   return IsAsciiAlnum(c) || c == '-' || c == '_' || c == ':';
 }
 
-/// Same set as parser.cc: tags that belong in <head>.
-bool IsHeadOnlyTag(TagId id) {
-  return id == Tag::kTitle || id == Tag::kMeta || id == Tag::kLink ||
-         id == Tag::kBase || id == Tag::kStyle;
-}
-
 /// AppendUtf8 with a char sink instead of a std::string.
 template <typename Sink>
 void PushUtf8(uint32_t cp, Sink&& push) {
@@ -154,7 +148,7 @@ const ArenaTree& HotParser::Parse(std::string_view input,
         HandleText(token.text, /*is_raw_text=*/true);
         break;
       case LexedToken::Kind::kSkip:
-        break;  // comments/doctypes stripped, same as the legacy builder
+        break;  // comments/doctypes stripped, as HTML Tidy normalizes
     }
   }
   tree_.FinalizeDerived(parsed_bytes);
@@ -261,8 +255,8 @@ void HotParser::LexStartTag(LexedToken* token) {
   token->name = input_.substr(start, pos_ - start);
   SkipAttributes(token);
   // FindTag, not InternTag: interning happens when the token is handled,
-  // which keeps the registry identical to the legacy pipeline even when a
-  // max_nodes cap stops handling before lexing does.
+  // so a start tag lexed past a max_nodes cap interns nothing (the test
+  // oracle's builder, which interns as it handles, agrees).
   token->tag = FindTag(token->name);
   if (!token->self_closing && token->tag >= 0 && IsRawTextTag(token->tag)) {
     EnterRawText(token->name);
@@ -364,7 +358,7 @@ void HotParser::PopOne() {
 void HotParser::HandleStartTag(const LexedToken& token) {
   TagId tag = token.tag >= 0 ? token.tag : InternTag(token.name);
   if (tag == Tag::kHtml) {
-    // Legacy merges attributes into the root; ArenaTree stores none.
+    // Its attributes belong to the root; FindAttributeValues reads them.
     return;
   }
   if (tag == Tag::kHead) {
@@ -439,14 +433,11 @@ void HotParser::HandleEndTag(std::string_view name) {
 }
 
 void HotParser::HandleText(std::string_view raw, bool is_raw_text) {
-  // Same drop rule as the legacy builder (order relative to the emptiness
-  // check does not matter: both return without side effects).
+  // Script and style text is code, not content: the paper's signatures
+  // measure visible terms. The tag node stays.
   if (last_raw_text_node_ != kInvalidNode && Top() == last_raw_text_node_) {
     TagId tag = tree_.node(Top()).tag;
-    if ((tag == Tag::kScript || tag == Tag::kStyle) &&
-        !options_.keep_script_text) {
-      return;  // drop code, keep the tag node
-    }
+    if (tag == Tag::kScript || tag == Tag::kStyle) return;
   }
   // Fused decode + collapse, straight into the arena. Decoding never grows
   // the byte stream and collapsing never grows it either, so the raw size
@@ -465,8 +456,8 @@ void HotParser::HandleText(std::string_view raw, bool is_raw_text) {
     }
   };
   if (is_raw_text) {
-    // Raw-text payloads (title/textarea/script/style) are never
-    // entity-decoded by the legacy tokenizer either.
+    // Raw-text payloads (title/textarea; script/style text was dropped
+    // above) are never entity-decoded, as Tokenizer leaves them too.
     for (char c : raw) push(c);
   } else {
     DecodeEntitiesInto(raw, push);
@@ -477,6 +468,25 @@ void HotParser::HandleText(std::string_view raw, bool is_raw_text) {
   if (n == 0) return;
   if (AtRootLevel()) EnsureBody();
   tree_.AddContent(Top(), std::string_view(buf, n));
+}
+
+bool EndsInsideMarkup(std::string_view input) {
+  size_t lt = input.rfind('<');
+  if (lt == std::string_view::npos || lt + 1 >= input.size()) {
+    // A bare trailing '<' is literal text, not truncated markup.
+    return false;
+  }
+  char next = input[lt + 1];
+  bool plausible_markup = IsAsciiAlpha(next) || next == '/' || next == '!' ||
+                          next == '?';
+  return plausible_markup && input.find('>', lt) == std::string_view::npos;
+}
+
+Status CheckDocument(std::string_view input) {
+  if (StripAsciiWhitespace(input).empty()) {
+    return Status::ParseError("empty document");
+  }
+  return Status::OK();
 }
 
 namespace {
@@ -571,7 +581,8 @@ std::vector<NodeAttribute> FindAttributeValues(std::string_view input,
     }
     // Lex forward from the owner's start tag (or the input's start) to the
     // occurrence. The tokenizer is in its data state at any start tag, so
-    // these are exactly the tokens ParseHtml saw.
+    // these are exactly the tokens a two-phase tokenize-then-build parse
+    // sees.
     const size_t start =
         owner == kInvalidNode ? 0 : tree.node(owner).tag_offset;
     Tokenizer tokenizer(input.substr(start));

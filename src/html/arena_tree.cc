@@ -54,9 +54,9 @@ void ArenaTree::Reset() {
   distinct_tags_.clear();
   parsed_bytes_ = 0;
 
-  // Root <html> node (mirrors TagTree's constructor). Its path is the
-  // single html symbol; path id 0 by construction. The symbol lives in
-  // static storage, so an empty tree allocates no arena block.
+  // Root <html> node, which every parse starts from. Its path is the single
+  // html symbol; path id 0 by construction. The symbol lives in static
+  // storage, so an empty tree allocates no arena block.
   static const char kRootSymbol = TagPathSymbol(Tag::kHtml);
   paths_.push_back(std::string_view{&kRootSymbol, 1});
 
@@ -132,9 +132,9 @@ NodeId ArenaTree::AddContent(NodeId parent, std::string_view collapsed) {
 void ArenaTree::FinalizeDerived(size_t parsed_bytes) {
   parsed_bytes_ = static_cast<uint32_t>(
       std::min<size_t>(parsed_bytes, ArenaNode::kNoTagOffset));
-  // Parents precede children (same invariant as TagTree), so one backward
-  // pass accumulates subtree aggregates. Depth and per-node content_length
-  // were assigned at insertion.
+  // Parents precede children, so one backward pass accumulates subtree
+  // aggregates. Depth and per-node content_length were assigned at
+  // insertion.
   for (size_t i = nodes_.size(); i-- > 1;) {
     const ArenaNode& n = nodes_[i];
     ArenaNode& p = nodes_[static_cast<size_t>(n.parent)];
@@ -145,8 +145,7 @@ void ArenaTree::FinalizeDerived(size_t parsed_bytes) {
 
 std::string_view ArenaTree::PathSymbols(NodeId id) const {
   const ArenaNode& n = node(id);
-  // Content leaves hang off a tag parent; legacy PathTags skips them, so
-  // their path equals the parent's.
+  // Content leaves hang off a tag parent; their path is the parent's.
   uint32_t pid = n.is_tag() ? n.path_id
                             : node(n.parent).path_id;
   return paths_[static_cast<size_t>(pid)];

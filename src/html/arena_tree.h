@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "src/html/tag_table.h"
-#include "src/html/tag_tree.h"
+#include "src/html/tree_read.h"
 #include "src/util/arena.h"
 
 namespace thor::html {
@@ -25,7 +25,7 @@ struct ArenaNode {
   NodeId next_sibling = kInvalidNode;
   /// Interned tag for tag nodes; -1 for content nodes.
   TagId tag = -1;
-  /// Number of direct children (tag and content), like TagTree::Fanout.
+  /// Number of direct children (tag and content).
   int32_t fanout = 0;
   /// Root has depth 0; assigned at insertion (parents precede children).
   int32_t depth = 0;
@@ -33,10 +33,9 @@ struct ArenaNode {
   int32_t subtree_size = 1;
   int32_t content_length = 0;
   /// Page-local id of this node's root->node tag path (tag nodes only).
-  /// Two nodes share a path_id iff they have the same tag chain, which is
-  /// exactly when their TagTree::PathSymbols strings are equal — so the
-  /// extraction hot path compares u32 ids where the legacy path compares
-  /// strings.
+  /// Two nodes share a path_id iff they have the same tag chain, so the
+  /// extraction hot path compares u32 ids where a per-node walk would
+  /// compare PathSymbols strings.
   uint32_t path_id = 0;
   /// Whitespace-collapsed character data (content nodes); arena-backed.
   const char* text_data = nullptr;
@@ -57,9 +56,10 @@ struct ArenaNode {
 /// \brief The tag tree learning and serving read (the paper's page model,
 /// Section 2).
 ///
-/// Semantically a TagTree: same node ids (insertion order), same derived
-/// fields, same path/text query results — the differential harness in
-/// tests/hotpath_diff_test.cc holds the two structures byte-equal over
+/// Nodes are numbered in insertion order, and the derived fields (depth,
+/// fanout, subtree size, content length) and the path/text queries match
+/// the test oracle's tree (tests/oracle/) node for node; the differential
+/// harness in tests/hotpath_diff_test.cc holds the two byte-equal over
 /// whole deepweb fleets. Mechanically everything is reused: node records
 /// live in a capacity-retaining vector, text and path strings in a bump
 /// Arena, and the per-page path-intern table keeps its buckets across
@@ -168,29 +168,30 @@ class ArenaTree {
     }
   }
 
-  /// Path-symbol string for an interned path id (equals what
-  /// TagTree::PathSymbols returns for any node carrying this id).
+  /// Path-symbol string for an interned path id (what PathSymbols returns
+  /// for any node carrying this id).
   std::string_view path(uint32_t path_id) const {
     return paths_[static_cast<size_t>(path_id)];
   }
   uint32_t path_count() const { return static_cast<uint32_t>(paths_.size()); }
 
-  /// TagTree::PathSymbols equivalent (content nodes defer to their parent
-  /// chain, exactly like the legacy walk that skips content nodes).
+  /// One `TagPathSymbol` letter per tag on the root -> id chain, e.g. "abm"
+  /// for html/body/table — the paper's fixed-length-q simplification
+  /// (q = 1) the subtree shape distance reads. A content node yields its
+  /// parent chain.
   std::string_view PathSymbols(NodeId id) const;
 
-  /// TagTree::PathString equivalent: "html/body/table[3]"-style address
-  /// with 1-based indices printed only among same-tag siblings.
+  /// `html::PathString`: "html/body/table[3]"-style address with 1-based
+  /// indices printed only among same-tag siblings.
   std::string PathString(NodeId id) const;
 
-  /// TagTree::SubtreeText equivalent, appending into a caller-owned buffer
-  /// (space-joined content text in document order). `out` need not be
-  /// empty; separators follow the legacy "separator iff out non-empty"
-  /// rule, so pass a fresh buffer for byte-parity with SubtreeText.
+  /// SubtreeText appended to a caller-owned buffer (space-joined content
+  /// text in document order). `out` need not be empty: a space precedes
+  /// each content text whenever `out` is non-empty, so pass a fresh buffer
+  /// for byte-parity with SubtreeText.
   void AppendSubtreeText(NodeId id, std::string* out) const;
 
-  /// The members below are `html/tree_read.h`'s templates, shared with
-  /// TagTree.
+  /// The members below are `html/tree_read.h`'s templates.
   std::string SubtreeText(NodeId id) const;
   int MaxFanout() const;
   bool IsAncestorOrSelf(NodeId ancestor, NodeId id) const;

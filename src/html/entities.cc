@@ -172,28 +172,4 @@ std::string DecodeEntities(std::string_view input) {
   return out;
 }
 
-std::string EscapeText(std::string_view input) {
-  std::string out;
-  out.reserve(input.size());
-  for (char c : input) {
-    switch (c) {
-      case '&':
-        out.append("&amp;");
-        break;
-      case '<':
-        out.append("&lt;");
-        break;
-      case '>':
-        out.append("&gt;");
-        break;
-      case '"':
-        out.append("&quot;");
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-  return out;
-}
-
 }  // namespace thor::html

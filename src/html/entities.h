@@ -22,9 +22,6 @@ void AppendUtf8(uint32_t code_point, std::string* out);
 /// leniency. This is what the tokenizer applies to text and attribute data.
 std::string DecodeEntities(std::string_view input);
 
-/// Escapes '&', '<', '>', '"' for safe re-serialization of text/attributes.
-std::string EscapeText(std::string_view input);
-
 }  // namespace thor::html
 
 #endif  // THOR_HTML_ENTITIES_H_

@@ -210,6 +210,11 @@ bool IsRawTextTag(TagId id) {
          id == Tag::kTitle;
 }
 
+bool IsHeadOnlyTag(TagId id) {
+  return id == Tag::kTitle || id == Tag::kMeta || id == Tag::kLink ||
+         id == Tag::kBase || id == Tag::kStyle;
+}
+
 bool ClosesOnOpen(TagId open_tag, TagId incoming) {
   // <p> is closed by any block-level start tag.
   if (open_tag == Tag::kP) {

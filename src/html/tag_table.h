@@ -109,6 +109,9 @@ bool IsVoidTag(TagId id);
 /// textarea, title.
 bool IsRawTextTag(TagId id);
 
+/// True for tags that belong in <head>: seeing one before <body> opens it.
+bool IsHeadOnlyTag(TagId id);
+
 /// True if an open element `open_tag` is implicitly closed when a start tag
 /// `incoming` appears (e.g. <li> closes an open <li>; <tr> closes an open
 /// <td>). This is the error-recovery core of the tidy-style parser.

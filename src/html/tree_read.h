@@ -3,23 +3,27 @@
 
 #include <algorithm>
 #include <concepts>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/html/tag_table.h"
-#include "src/html/tag_tree.h"
 
 namespace thor::html {
+
+/// Index of a node within its tree. The root is always node 0, and nodes
+/// are numbered in insertion order.
+using NodeId = int32_t;
+inline constexpr NodeId kInvalidNode = -1;
 
 /// \brief The read-only tree interface the extraction rules are written
 /// against, once, as templates.
 ///
-/// `ArenaTree` (learning and serving) and `TagTree` (the legacy parser's
-/// tree, kept as the differential oracle) each implement every member
-/// natively — sibling links against a child vector, a link walk against a
-/// stack walk — so a rule instantiated on either tree makes no virtual
-/// call.
+/// `ArenaTree`, the tree learning and serving read, implements it; so does
+/// the test oracle's tree (tests/oracle/), which the differential tests
+/// run the same rules on. Each implements every member natively, so a
+/// rule instantiated on either tree makes no virtual call.
 template <typename Tree>
 concept ReadableTree = requires(const Tree& tree, NodeId id,
                                 void (*visit)(NodeId), std::string* text) {
@@ -45,8 +49,7 @@ concept ReadableTree = requires(const Tree& tree, NodeId id,
 /// XPath-style address of `id`, e.g. "html/body/table[3]": the tag names
 /// on the root -> id chain (content nodes contribute their parent chain),
 /// each with its 1-based index among same-tag siblings, printed only when
-/// it has same-tag siblings. `TagTree::PathString` and
-/// `ArenaTree::PathString` both return this.
+/// it has same-tag siblings. `ArenaTree::PathString` returns this.
 template <ReadableTree Tree>
 std::string PathString(const Tree& tree, NodeId id) {
   std::vector<NodeId> chain;

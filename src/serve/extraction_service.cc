@@ -81,8 +81,7 @@ ExtractionService::Response ExtractionService::ExtractAgainst(
   // pool's threads are long-lived), so the steady state allocates nothing
   // on the request path.
   static thread_local core::HotExtractor extractor;
-  auto result = extractor.Extract(request.html, site_handle->compiled,
-                                  options_.apply, options_.objects);
+  auto result = extractor.Extract(request.html, site_handle->compiled);
   if (!result.hit) return response;  // kMiss
   response.source = Source::kTemplate;
   response.confidence = result.located.Confidence();
@@ -120,16 +119,15 @@ void ExtractionService::UpdateDrift(SiteStats& stats,
   double signal = 0.0;
   if (response.source != Source::kTemplate) {
     signal = 1.0;
-  } else if (response.confidence < options_.low_confidence) {
+  } else if (response.confidence < kLowConfidence) {
     signal = 0.5;
   }
   stats.drift_ewma =
-      (1.0 - options_.drift_alpha) * stats.drift_ewma +
-      options_.drift_alpha * signal;
+      (1.0 - kDriftAlpha) * stats.drift_ewma + kDriftAlpha * signal;
   DriftState next = DriftState::kHealthy;
-  if (stats.drift_ewma >= options_.drift_broken) {
+  if (stats.drift_ewma >= kDriftBroken) {
     next = DriftState::kBroken;
-  } else if (stats.drift_ewma >= options_.drift_warn) {
+  } else if (stats.drift_ewma >= kDriftWarn) {
     next = DriftState::kDrifting;
   }
   if (next == stats.drift) return;
@@ -260,7 +258,7 @@ std::vector<ExtractionService::Response> ExtractionService::ExtractBatch(
     if (response.source == Source::kTemplate) {
       ++stats.hits;
       AddCounter(options_.metrics, "serve.template_hit");
-      if (response.confidence < options_.low_confidence) {
+      if (response.confidence < kLowConfidence) {
         ++stats.low_confidence;
         AddCounter(options_.metrics, "serve.low_confidence");
       }

@@ -21,10 +21,18 @@
 namespace thor::serve {
 
 /// Per-site template-health classification derived from the serving
-/// signal (see ServiceOptions::drift_*). Healthy sites serve as usual;
-/// drifting/broken sites relearn eagerly in the background.
+/// signal (see kDriftAlpha). Healthy sites serve as usual; drifting/broken
+/// sites relearn eagerly in the background.
 enum class DriftState { kHealthy = 0, kDrifting = 1, kBroken = 2 };
 const char* DriftStateName(DriftState state);
+
+/// Drift detector: per-request EWMA over the serving signal (miss = 1,
+/// low-confidence hit = 0.5, confident hit = 0). A site is kDrifting at
+/// `kDriftWarn`, kBroken at `kDriftBroken`; with alpha 0.1 roughly five
+/// consecutive misses take a healthy site past the warn line.
+inline constexpr double kDriftAlpha = 0.1;
+inline constexpr double kDriftWarn = 0.35;
+inline constexpr double kDriftBroken = 0.8;
 
 /// Tuning knobs for the multi-site extraction service.
 struct ServiceOptions {
@@ -38,12 +46,6 @@ struct ServiceOptions {
   /// degrades to plain misses instead of relearn-thrashing.
   int relearn_min_requests = 20;
   double relearn_miss_rate = 0.5;
-  /// Responses whose confidence lands below this count as low-confidence
-  /// in the per-site accounting (early staleness signal).
-  double low_confidence = 0.35;
-  /// Template application / Stage-3 partitioning knobs.
-  core::TemplateApplyOptions apply;
-  core::ObjectPartitionOptions objects;
   /// Threads for the ExtractBatch fan-out (0 = process default, 1 =
   /// serial). Responses are index-addressed, so output is identical at
   /// every thread count.
@@ -63,13 +65,6 @@ struct ServiceOptions {
   /// N serves exactly from batch N+1 — at every thread count. Null
   /// disables relearning: misses stay misses.
   RelearnManager* relearn_manager = nullptr;
-  /// Drift detector: per-request EWMA over the serving signal (miss = 1,
-  /// low-confidence hit = 0.5, confident hit = 0). A site is kDrifting at
-  /// `drift_warn`, kBroken at `drift_broken`; with alpha 0.1 roughly five
-  /// consecutive misses take a healthy site past the warn line.
-  double drift_alpha = 0.1;
-  double drift_warn = 0.35;
-  double drift_broken = 0.8;
 };
 
 /// \brief Long-lived multi-site extraction front end over a TemplateStore.
@@ -145,7 +140,7 @@ class ExtractionService {
     int window_requests = 0;      ///< requests since the last relearn window
     int window_misses = 0;
     /// Drift detector state: EWMA of the serving signal and the resulting
-    /// classification (see ServiceOptions::drift_*).
+    /// classification (see kDriftAlpha).
     double drift_ewma = 0.0;
     DriftState drift = DriftState::kHealthy;
   };

@@ -107,10 +107,9 @@ int RelearnManager::ScoreSample(core::HotExtractor* extractor,
                                 const std::vector<std::string>& sample) const {
   int hits = 0;
   for (const std::string& html : sample) {
-    auto located = extractor->Locate(extractor->Parse(html), templates,
-                                     options_.apply);
+    auto located = extractor->Locate(extractor->Parse(html), templates);
     if (located.node != html::kInvalidNode &&
-        located.Confidence() >= options_.min_confidence) {
+        located.Confidence() >= kLowConfidence) {
       ++hits;
     }
   }
@@ -143,7 +142,7 @@ RelearnManager::Completed RelearnManager::RunJob(Job job) {
   }
   std::vector<core::Page> pages = sampler_(job.site, job.ticket);
   if (pages.empty()) return finish();
-  core::ThorOptions relearn_options = options_.relearn;
+  core::ThorOptions relearn_options;
   relearn_options.deadline = deadline;
   auto analysis = core::RunThor(pages, relearn_options);
   if (!analysis.ok()) {

@@ -23,6 +23,12 @@
 
 namespace thor::serve {
 
+/// A template hit whose confidence (`TemplateRegistry::Located::
+/// Confidence`) lands below this is low-confidence: the service counts it
+/// in the per-site accounting and scores it 0.5 in the drift detector (an
+/// early staleness signal), and the canary does not count it as a hit.
+inline constexpr double kLowConfidence = 0.35;
+
 /// Tuning knobs for the background relearn worker pool.
 struct RelearnManagerOptions {
   /// Maximum relearn jobs running concurrently (clamped to >= 1). Workers
@@ -40,17 +46,11 @@ struct RelearnManagerOptions {
   /// what the committed generation locates. A relative floor keeps sites
   /// whose recent traffic is mostly no-match pages promotable.
   double canary_floor = 0.9;
-  /// Confidence at or above which a shadow extraction counts as a hit.
-  double min_confidence = 0.35;
   /// Budget for one background relearn, in milliseconds on `clock`
   /// (0 = unbounded), measured from job start. An overrun aborts with
-  /// kDeadlineExceeded and commits nothing.
+  /// kDeadlineExceeded and commits nothing. Relearns run the pipeline
+  /// under `core::ThorOptions{}` and this deadline.
   double relearn_deadline_ms = 0.0;
-  /// Pipeline configuration used for relearns.
-  core::ThorOptions relearn;
-  /// Locate options used when scoring canary vs live on the shadow sample
-  /// (should match the serving path's apply options).
-  core::TemplateApplyOptions apply;
   /// Optional sinks: serve.relearn_* counters, serve.relearn_queue_depth,
   /// serve.canary.* counters, serve.relearn_latency_ms histogram.
   MetricsRegistry* metrics = nullptr;
@@ -166,8 +166,8 @@ class RelearnManager {
   void DrainLoop();
   Completed RunJob(Job job);
   /// Shadow-extracts `templates` over `sample` with `extractor` (Parse +
-  /// Locate under the `apply` options); returns the number of pages
-  /// located with confidence >= min_confidence.
+  /// Locate, as serving runs them); returns the number of pages located
+  /// with confidence >= kLowConfidence.
   int ScoreSample(core::HotExtractor* extractor,
                   const core::CompiledTemplates& templates,
                   const std::vector<std::string>& sample) const;

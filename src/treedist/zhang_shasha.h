@@ -23,10 +23,10 @@ struct OrderedTree {
 
   int size() const { return static_cast<int>(labels.size()); }
 
-  /// Builds from the subtree of `tree` rooted at `root` (either tag tree:
+  /// Builds from the subtree of `tree` rooted at `root` (any tag tree:
   /// written once over `html::ReadableTree`).
   template <html::ReadableTree Tree>
-  static OrderedTree FromTagTree(const Tree& tree, html::NodeId root) {
+  static OrderedTree FromTree(const Tree& tree, html::NodeId root) {
     OrderedTree out;
     int leftmost = -1;
     out.AppendPostorder(tree, root, &leftmost);

@@ -11,7 +11,7 @@
 
 #include "src/core/signature_builder.h"
 #include "src/html/arena_parser.h"
-#include "src/html/parser.h"
+#include "tests/oracle/parser.h"
 #include "src/html/tag_table.h"
 #include "tests/tree_diff.h"
 

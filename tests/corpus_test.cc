@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/deepweb/site_generator.h"
-#include "src/html/parser.h"
+#include "tests/oracle/parser.h"
 
 namespace thor::deepweb {
 namespace {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/oracle/serializer.h"
+
 namespace thor::html {
 namespace {
 

@@ -1,8 +1,9 @@
 // Differential harness for the extraction hot path: the arena pipeline
 // (HotParser / HotExtractor / CompiledTemplates) must be *bit-identical*
-// to the legacy pipeline (ParseHtml / TagCountVector / LocateDetailed /
-// PartitionObjects) on every page a deepweb fleet can produce — fresh
-// answer pages, no-match pages, and three template-drift epochs.
+// to the test oracle's pipeline (tests/oracle/: ParseHtml / TagCountVector
+// / the reference LocateDetailed / PartitionObjects) on every page a
+// deepweb fleet can produce — fresh answer pages, no-match pages, and
+// three template-drift epochs.
 //
 // What the two pipelines still implement separately is compared whole:
 // the parsers and trees, the fused signature, and Locate. The candidate
@@ -13,9 +14,10 @@
 // registry learned for every site at every epoch as well as under the
 // epoch-0 registry of site 0 (which misses most drifted pages).
 //
-// This is the contract that lets the serving layer run the hot path alone,
-// with the legacy pipeline kept as the reference it is checked against:
-// any observable divergence is a bug in the hot path, full stop.
+// This is the contract that lets the production library carry the hot path
+// alone, with the legacy pipeline kept as the test-only reference it is
+// checked against: any observable divergence is a bug in the hot path,
+// full stop.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -35,7 +37,8 @@
 #include "src/deepweb/site_generator.h"
 #include "src/html/arena_parser.h"
 #include "src/html/arena_tree.h"
-#include "src/html/parser.h"
+#include "tests/oracle/parser.h"
+#include "tests/oracle/reference_locate.h"
 #include "src/serve/extraction_service.h"
 #include "src/serve/template_store.h"
 #include "src/util/json.h"
@@ -204,7 +207,7 @@ TEST(HotPathDiffTest, LocateDetailedBitIdenticalAcrossDriftEpochs) {
       SCOPED_TRACE("epoch " + std::to_string(epoch) + " page " +
                    std::to_string(i));
       LegacyPage page(corpus[i]);
-      auto legacy = world.registry.LocateDetailed(page.tree);
+      auto legacy = core::LocateDetailed(world.registry, page.tree);
       const html::ArenaTree& tree = extractor.Parse(corpus[i]);
       auto hot = extractor.Locate(tree, compiled);
       ASSERT_EQ(legacy.node == html::kInvalidNode,
@@ -237,7 +240,7 @@ void ExpectExtractionIdentical(const core::TemplateRegistry& registry,
                                core::HotExtractor* extractor, int* hits) {
   auto hot = extractor->Extract(html, compiled);
   LegacyPage page(html);
-  auto located = registry.LocateDetailed(page.tree);
+  auto located = core::LocateDetailed(registry, page.tree);
   if (located.node == html::kInvalidNode) {
     EXPECT_FALSE(hot.hit);
     EXPECT_TRUE(hot.pagelet_path.empty());
@@ -416,7 +419,7 @@ Response LegacyResponse(const core::TemplateRegistry& registry,
   Response want;
   want.generation = generation;
   LegacyPage page(html);
-  auto located = registry.LocateDetailed(page.tree);
+  auto located = core::LocateDetailed(registry, page.tree);
   if (located.node != html::kInvalidNode) {
     want.source = serve::ExtractionService::Source::kTemplate;
     want.confidence = located.Confidence();

@@ -12,8 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "src/html/arena_parser.h"
-#include "src/html/parser.h"
-#include "src/html/serializer.h"
+#include "tests/oracle/parser.h"
+#include "tests/oracle/serializer.h"
 
 namespace thor::html {
 namespace {

@@ -7,14 +7,15 @@
 #include <gtest/gtest.h>
 
 #include "src/core/evaluation.h"
+#include "src/core/hot_extractor.h"
 #include "src/core/object_fields.h"
 #include "src/core/template_registry.h"
 #include "src/core/thor.h"
 #include "src/deepweb/corpus.h"
 #include "src/deepweb/site_generator.h"
 #include "src/html/arena_parser.h"
-#include "src/html/parser.h"
-#include "src/html/serializer.h"
+#include "tests/oracle/parser.h"
+#include "tests/oracle/serializer.h"
 
 namespace thor {
 namespace {
@@ -114,11 +115,14 @@ TEST_P(FleetSweep, TemplateRegistryAgreesWithFullPipeline) {
     if (registry.empty()) continue;
     // Applying the learned templates to the very pages THOR extracted
     // from must reproduce (or relax-match) the pipeline's own answers.
+    const core::CompiledTemplates compiled =
+        core::CompiledTemplates::Compile(registry);
+    core::HotExtractor extractor;
     int agreements = 0;
     for (const auto& page_result : result->pages) {
       const html::ArenaTree& tree =
           pages[static_cast<size_t>(page_result.page_index)].tree;
-      html::NodeId located = registry.Locate(tree);
+      html::NodeId located = extractor.Locate(tree, compiled).node;
       if (core::PageletMatches(tree, located, page_result.pagelet)) {
         ++agreements;
       }

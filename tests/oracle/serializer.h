@@ -1,11 +1,15 @@
-#ifndef THOR_HTML_SERIALIZER_H_
-#define THOR_HTML_SERIALIZER_H_
+#ifndef THOR_TESTS_ORACLE_SERIALIZER_H_
+#define THOR_TESTS_ORACLE_SERIALIZER_H_
 
 #include <string>
+#include <string_view>
 
-#include "src/html/tag_tree.h"
+#include "tests/oracle/tag_tree.h"
 
 namespace thor::html {
+
+/// Escapes '&', '<', '>', '"' for safe re-serialization of text/attributes.
+std::string EscapeText(std::string_view input);
 
 /// Serialization knobs.
 struct SerializeOptions {
@@ -25,4 +29,4 @@ std::string Serialize(const TagTree& tree,
 
 }  // namespace thor::html
 
-#endif  // THOR_HTML_SERIALIZER_H_
+#endif  // THOR_TESTS_ORACLE_SERIALIZER_H_

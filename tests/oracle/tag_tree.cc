@@ -1,4 +1,4 @@
-#include "src/html/tag_tree.h"
+#include "tests/oracle/tag_tree.h"
 
 #include <algorithm>
 #include <cassert>

@@ -1,5 +1,5 @@
-#ifndef THOR_HTML_TAG_TREE_H_
-#define THOR_HTML_TAG_TREE_H_
+#ifndef THOR_TESTS_ORACLE_TAG_TREE_H_
+#define THOR_TESTS_ORACLE_TAG_TREE_H_
 
 #include <cstdint>
 #include <string>
@@ -8,13 +8,9 @@
 
 #include "src/html/tag_table.h"
 #include "src/html/tokenizer.h"
+#include "src/html/tree_read.h"
 
 namespace thor::html {
-
-/// Index of a node within its TagTree's arena. The root is always node 0
-/// in a finalized tree.
-using NodeId = int32_t;
-inline constexpr NodeId kInvalidNode = -1;
 
 /// The paper's tag-tree node kinds: tag nodes (labeled by the start-tag
 /// name) and content nodes (leaves labeled by their character data).
@@ -43,14 +39,16 @@ struct Node {
   bool is_tag() const { return kind == NodeKind::kTag; }
 };
 
-/// \brief The legacy parser's tag tree, kept as the differential oracle.
+/// \brief The test oracle's tag tree: what the legacy two-phase parser
+/// builds.
 ///
 /// Built top-down via AddTag/AddContent, then FinalizeDerived() computes
 /// depth, subtree sizes and content lengths. Learning and serving read
 /// `ArenaTree`; this tree, with its materialized attributes and child
-/// vectors, is what `ParseHtml` builds for the tests that hold HotParser
-/// to it node by node and for the denominator of bench_micro's ratio
-/// gate. The queries it shares with ArenaTree are `html/tree_read.h`'s
+/// vectors, is built by `ParseHtml` for the tests that hold HotParser to
+/// it node by node and for the denominator of bench_micro's ratio gate.
+/// It lives in the test-only `thor_oracle` library, which no daemon
+/// links. The queries it shares with ArenaTree are `html/tree_read.h`'s
 /// templates.
 class TagTree {
  public:
@@ -153,4 +151,4 @@ class TagTree {
 
 }  // namespace thor::html
 
-#endif  // THOR_HTML_TAG_TREE_H_
+#endif  // THOR_TESTS_ORACLE_TAG_TREE_H_

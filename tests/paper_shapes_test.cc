@@ -190,7 +190,7 @@ TEST_F(PaperShapes, TreeEditDistanceIsOrdersOfMagnitudeSlower) {
   for (int i = 0; i < 6; ++i) {
     const auto& page = sample.pages[static_cast<size_t>(i)];
     trees.push_back(
-        treedist::OrderedTree::FromTagTree(page.tree, page.tree.root()));
+        treedist::OrderedTree::FromTree(page.tree, page.tree.root()));
     auto counts = core::TagCountVector(page.tree);
     counts.Normalize();
     signatures.push_back(std::move(counts));

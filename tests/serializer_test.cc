@@ -1,9 +1,9 @@
-#include "src/html/serializer.h"
+#include "tests/oracle/serializer.h"
 
 #include <gtest/gtest.h>
 
 #include "src/deepweb/site_generator.h"
-#include "src/html/parser.h"
+#include "tests/oracle/parser.h"
 
 namespace thor::html {
 namespace {

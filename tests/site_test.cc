@@ -7,7 +7,7 @@
 
 #include "src/deepweb/corpus.h"
 #include "src/deepweb/site_generator.h"
-#include "src/html/parser.h"
+#include "tests/oracle/parser.h"
 
 namespace thor::deepweb {
 namespace {

@@ -18,7 +18,7 @@
 
 #include "src/deepweb/site_generator.h"
 #include "src/html/arena_parser.h"
-#include "src/html/parser.h"
+#include "tests/oracle/parser.h"
 #include "src/util/rng.h"
 
 namespace thor::html {

@@ -1,8 +1,8 @@
-#include "src/html/tag_tree.h"
+#include "tests/oracle/tag_tree.h"
 
 #include <gtest/gtest.h>
 
-#include "src/html/parser.h"
+#include "tests/oracle/parser.h"
 
 namespace thor::html {
 namespace {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/evaluation.h"
+#include "src/core/hot_extractor.h"
 #include "src/deepweb/corpus.h"
 #include "src/deepweb/site_generator.h"
 
@@ -16,6 +17,12 @@ deepweb::LabeledPage Label(const deepweb::QueryResponse& response) {
   auto page = deepweb::LabelPageChecked(response);
   EXPECT_TRUE(page.ok()) << page.status().ToString();
   return page.ok() ? std::move(*page) : deepweb::LabeledPage{};
+}
+
+/// Locates through the serving extractor, the one Locate the library has.
+html::NodeId Locate(const TemplateRegistry& registry,
+                    const html::ArenaTree& tree) {
+  return HotExtractor().Locate(tree, CompiledTemplates::Compile(registry)).node;
 }
 
 struct Fixture {
@@ -69,7 +76,7 @@ TEST(TemplateRegistryTest, LocatesPageletsOnUnseenAnswerPages) {
     deepweb::LabeledPage page = Label(response);
     if (page.pagelet_node == html::kInvalidNode) continue;
     ++answers;
-    html::NodeId located = fixture.registry.Locate(page.tree);
+    html::NodeId located = Locate(fixture.registry, page.tree);
     if (PageletMatches(page.tree, located, page.pagelet_node)) {
       ++located_correctly;
     }
@@ -88,7 +95,7 @@ TEST(TemplateRegistryTest, RejectsNoMatchPages) {
     if (response.page_class != deepweb::PageClass::kNoMatch) continue;
     deepweb::LabeledPage page = Label(response);
     ++no_match_pages;
-    if (fixture.registry.Locate(page.tree) != html::kInvalidNode) {
+    if (Locate(fixture.registry, page.tree) != html::kInvalidNode) {
       ++false_positives;
     }
   }
@@ -103,16 +110,16 @@ TEST(TemplateRegistryTest, ExtractProducesObjects) {
     GTEST_SKIP() << "category query did not multi-match";
   }
   deepweb::LabeledPage page = Label(response);
-  auto extraction = fixture.registry.Extract(page.tree);
-  ASSERT_NE(extraction.pagelet, html::kInvalidNode);
-  EXPECT_GE(extraction.objects.size(), 2u);
+  html::NodeId pagelet = Locate(fixture.registry, page.tree);
+  ASSERT_NE(pagelet, html::kInvalidNode);
+  EXPECT_GE(PartitionObjects(page.tree, pagelet).size(), 2u);
 }
 
 TEST(TemplateRegistryTest, EmptyRegistryLocatesNothing) {
   TemplateRegistry registry;
   html::ArenaTree tree =
       html::ParseArena("<table><tr><td>content</td></tr></table>");
-  EXPECT_EQ(registry.Locate(tree), html::kInvalidNode);
+  EXPECT_EQ(Locate(registry, tree), html::kInvalidNode);
   EXPECT_TRUE(registry.empty());
 }
 
@@ -125,7 +132,7 @@ TEST(TemplateRegistryTest, TemplatesTransferAcrossFreshProbeRounds) {
   deepweb::SiteSample fresh = deepweb::BuildSiteSample(fixture.site, probe);
   PrecisionRecall pr;
   for (const auto& page : fresh.pages) {
-    html::NodeId located = fixture.registry.Locate(page.tree);
+    html::NodeId located = Locate(fixture.registry, page.tree);
     if (page.pagelet_node != html::kInvalidNode) ++pr.truth;
     if (located == html::kInvalidNode) continue;
     ++pr.extracted;

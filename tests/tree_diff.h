@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/html/arena_tree.h"
-#include "src/html/tag_tree.h"
+#include "tests/oracle/tag_tree.h"
 
 namespace thor::tree_diff {
 

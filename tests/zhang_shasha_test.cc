@@ -2,14 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "src/html/parser.h"
+#include "tests/oracle/parser.h"
 
 namespace thor::treedist {
 namespace {
 
 OrderedTree FromHtml(const char* html) {
   html::TagTree tree = html::ParseHtml(html);
-  return OrderedTree::FromTagTree(tree, tree.root());
+  return OrderedTree::FromTree(tree, tree.root());
 }
 
 TEST(OrderedTreeTest, PostorderShape) {
@@ -18,7 +18,7 @@ TEST(OrderedTreeTest, PostorderShape) {
   tree.AddTag(body, html::Tag::kDiv);
   tree.AddTag(body, html::Tag::kP);
   tree.FinalizeDerived();
-  OrderedTree ot = OrderedTree::FromTagTree(tree, tree.root());
+  OrderedTree ot = OrderedTree::FromTree(tree, tree.root());
   ASSERT_EQ(ot.size(), 4);
   // Postorder: div, p, body, html.
   EXPECT_EQ(ot.labels[0], html::Tag::kDiv);
@@ -135,8 +135,8 @@ TEST(TreeEditDistanceTest, ClassicZhangShashaExample) {
     t2.FinalizeDerived();
   }
   // Subtrees below the shared synthetic html root.
-  OrderedTree a = OrderedTree::FromTagTree(t1, t1.node(t1.root()).children[0]);
-  OrderedTree b = OrderedTree::FromTagTree(t2, t2.node(t2.root()).children[0]);
+  OrderedTree a = OrderedTree::FromTree(t1, t1.node(t1.root()).children[0]);
+  OrderedTree b = OrderedTree::FromTree(t2, t2.node(t2.root()).children[0]);
   // Known distance for the classic example is 2 (move c, move b).
   EXPECT_EQ(TreeEditDistance(a, b), 2);
 }

@@ -38,6 +38,7 @@
 #include "src/util/failpoint.h"
 #include "src/util/metrics.h"
 #include "src/util/strings.h"
+#include "tools/flags.h"
 
 namespace thor {
 namespace {
@@ -93,56 +94,30 @@ int Main(int argc, char** argv) {
   fleet::RouterOptions router_options;
   double idle_timeout_ms = 60000.0;
   bool print_metrics = false;
-
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--shard")) {
-      shard_specs.push_back(next("--shard"));
-    } else if (!std::strcmp(argv[i], "--listen")) {
-      listen_port = std::atoi(next("--listen"));
-    } else if (!std::strcmp(argv[i], "--port-file")) {
-      port_file = next("--port-file");
-    } else if (!std::strcmp(argv[i], "--batch")) {
-      loop_options.batch = std::atoi(next("--batch"));
-    } else if (!std::strcmp(argv[i], "--threads")) {
-      router_options.threads = std::atoi(next("--threads"));
-    } else if (!std::strcmp(argv[i], "--max-backlog")) {
-      loop_options.max_backlog =
-          static_cast<size_t>(std::atoll(next("--max-backlog")));
-    } else if (!std::strcmp(argv[i], "--deadline-ms")) {
-      loop_options.batch_deadline_ms = std::atof(next("--deadline-ms"));
-    } else if (!std::strcmp(argv[i], "--retries")) {
-      router_options.max_attempts = std::atoi(next("--retries"));
-    } else if (!std::strcmp(argv[i], "--eject-after")) {
-      router_options.eject_after = std::atoi(next("--eject-after"));
-    } else if (!std::strcmp(argv[i], "--halfopen-ms")) {
-      router_options.halfopen_ms = std::atof(next("--halfopen-ms"));
-    } else if (!std::strcmp(argv[i], "--vnodes")) {
-      router_options.vnodes = std::atoi(next("--vnodes"));
-    } else if (!std::strcmp(argv[i], "--connect-timeout-ms")) {
-      router_options.connect_timeout_ms =
-          std::atof(next("--connect-timeout-ms"));
-    } else if (!std::strcmp(argv[i], "--request-timeout-ms")) {
-      router_options.request_timeout_ms =
-          std::atof(next("--request-timeout-ms"));
-    } else if (!std::strcmp(argv[i], "--idle-timeout-ms")) {
-      idle_timeout_ms = std::atof(next("--idle-timeout-ms"));
-    } else if (!std::strcmp(argv[i], "--metrics")) {
-      print_metrics = true;
-    } else if (!std::strcmp(argv[i], "--list-failpoints")) {
-      for (const std::string& name : FailpointRegistry::Global()->Names()) {
-        std::printf("%s\n", name.c_str());
-      }
-      return 0;
-    } else {
-      return Usage();
+  bool list_failpoints = false;
+  if (!tools::ParseArgs(
+          argc - 1, argv + 1,
+          {{"--shard", &shard_specs}, {"--listen", &listen_port},
+           {"--port-file", &port_file}, {"--batch", &loop_options.batch},
+           {"--threads", &router_options.threads},
+           {"--max-backlog", &loop_options.max_backlog},
+           {"--deadline-ms", &loop_options.batch_deadline_ms},
+           {"--retries", &router_options.max_attempts},
+           {"--eject-after", &router_options.eject_after},
+           {"--halfopen-ms", &router_options.halfopen_ms},
+           {"--vnodes", &router_options.vnodes},
+           {"--connect-timeout-ms", &router_options.connect_timeout_ms},
+           {"--request-timeout-ms", &router_options.request_timeout_ms},
+           {"--idle-timeout-ms", &idle_timeout_ms},
+           {"--metrics", &print_metrics},
+           {"--list-failpoints", &list_failpoints}})) {
+    return Usage();
+  }
+  if (list_failpoints) {
+    for (const std::string& name : FailpointRegistry::Global()->Names()) {
+      std::printf("%s\n", name.c_str());
     }
+    return 0;
   }
   if (shard_specs.empty() || loop_options.batch < 1 || listen_port < 0) {
     return Usage();

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/core/evaluation.h"
+#include "src/core/hot_extractor.h"
 #include "src/core/object_fields.h"
 #include "src/core/template_registry.h"
 #include "src/core/thor.h"
@@ -51,11 +52,15 @@
 #include "src/util/json_reader.h"
 #include "src/util/metrics.h"
 #include "src/util/trace.h"
+#include "tools/flags.h"
 
 namespace thor {
 namespace {
 
 namespace fs = std::filesystem;
+using tools::FlagValue;
+using tools::IsFlag;
+using tools::ParseArgs;
 
 int Usage() {
   std::fprintf(stderr,
@@ -125,6 +130,19 @@ int Usage() {
   return 2;
 }
 
+// Reads the page file at `path` into `html`; false, with a message, when
+// it is missing, unreadable or a directory.
+bool ReadPage(const std::string& path, std::string* html) {
+  std::ifstream in(path);
+  std::error_code ec;
+  if (!in || fs::is_directory(path, ec)) {
+    std::fprintf(stderr, "cannot read %s\n", path.c_str());
+    return false;
+  }
+  html->assign(std::istreambuf_iterator<char>(in), {});
+  return true;
+}
+
 // Loads every .html file of `dir` (sorted), applying manifest.tsv stage-1
 // flags when present. Returns false on I/O failure.
 bool LoadPagesFromDir(const std::string& dir, std::vector<core::Page>* pages,
@@ -151,9 +169,8 @@ bool LoadPagesFromDir(const std::string& dir, std::vector<core::Page>* pages,
     }
   }
   for (const auto& file : files) {
-    std::ifstream in(file);
-    std::string html((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+    std::string html;
+    if (!ReadPage(file.string(), &html)) return false;
     pages->push_back(
         core::Page::Parse(file.filename().string(), std::move(html)));
     auto it = nonsense_by_name.find(file.filename().string());
@@ -207,14 +224,13 @@ Result<core::TemplateRegistry> ReadTemplatesFile(const std::string& path) {
 // --- analyze: full THOR run -> persisted templates -----------------------
 
 int RunAnalyze(int argc, char** argv) {
-  if (argc < 1) return Usage();
-  std::string dir = argv[0];
+  std::vector<std::string> dirs;
   std::string templates_file = "templates.tpl";
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--templates") && i + 1 < argc) {
-      templates_file = argv[++i];
-    }
+  if (!ParseArgs(argc, argv, {{"--templates", &templates_file}}, &dirs) ||
+      dirs.size() != 1) {
+    return Usage();
   }
+  const std::string& dir = dirs[0];
   std::vector<core::Page> pages;
   std::vector<std::string> names;
   if (!LoadPagesFromDir(dir, &pages, &names)) return 1;
@@ -250,41 +266,39 @@ int RunApply(int argc, char** argv) {
   std::string templates_file = "templates.tpl";
   bool as_json = false;
   std::vector<std::string> inputs;
-  for (int i = 0; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--templates") && i + 1 < argc) {
-      templates_file = argv[++i];
-    } else if (!std::strcmp(argv[i], "--json")) {
-      as_json = true;
-    } else {
-      inputs.push_back(argv[i]);
-    }
+  if (!ParseArgs(argc, argv,
+                 {{"--templates", &templates_file}, {"--json", &as_json}},
+                 &inputs) ||
+      inputs.empty()) {
+    return Usage();
   }
-  if (inputs.empty()) return Usage();
   auto registry = ReadTemplatesFile(templates_file);
   if (!registry.ok()) {
     std::fprintf(stderr, "cannot load %s: %s\n", templates_file.c_str(),
                  registry.status().ToString().c_str());
     return 1;
   }
+  const core::CompiledTemplates templates =
+      core::CompiledTemplates::Compile(*registry);
+  core::HotExtractor extractor;
   JsonWriter json;
   if (as_json) json.BeginObject(), json.Key("pages").BeginArray();
   for (const std::string& input : inputs) {
-    std::ifstream page_in(input);
-    std::string html((std::istreambuf_iterator<char>(page_in)),
-                     std::istreambuf_iterator<char>());
-    core::Page page = core::Page::Parse(input, std::move(html));
-    auto extraction = registry->Extract(page.tree);
-    if (extraction.pagelet == html::kInvalidNode) {
+    std::string page_html;
+    if (!ReadPage(input, &page_html)) return 1;
+    const html::ArenaTree& tree = extractor.Parse(page_html);
+    const html::NodeId pagelet = extractor.Locate(tree, templates).node;
+    if (pagelet == html::kInvalidNode) {
       if (!as_json) std::printf("%-24s no QA-Pagelet\n", input.c_str());
       continue;
     }
+    const std::vector<core::ObjectSpan> objects =
+        core::PartitionObjects(tree, pagelet);
     if (as_json) {
-      WriteExtractionJson(page.tree, input, extraction.pagelet,
-                          extraction.objects, &json);
+      WriteExtractionJson(tree, input, pagelet, objects, &json);
     } else {
       std::printf("%-24s pagelet=%-28s objects=%zu\n", input.c_str(),
-                  page.tree.PathString(extraction.pagelet).c_str(),
-                  extraction.objects.size());
+                  tree.PathString(pagelet).c_str(), objects.size());
     }
   }
   if (as_json) {
@@ -304,7 +318,7 @@ std::string ExactDouble(double value) {
 }
 
 int RunDump(int argc, char** argv) {
-  if (argc != 1) return Usage();
+  if (argc != 1 || IsFlag(argv[0])) return Usage();
   auto registry = ReadTemplatesFile(argv[0]);
   if (!registry.ok()) {
     std::fprintf(stderr, "cannot load %s: %s\n", argv[0],
@@ -345,16 +359,12 @@ int RunLearn(int argc, char** argv) {
   std::string store_dir;
   std::string site_override;
   std::vector<std::string> dirs;
-  for (int i = 0; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--store") && i + 1 < argc) {
-      store_dir = argv[++i];
-    } else if (!std::strcmp(argv[i], "--site") && i + 1 < argc) {
-      site_override = argv[++i];
-    } else {
-      dirs.push_back(argv[i]);
-    }
+  if (!ParseArgs(argc, argv,
+                 {{"--store", &store_dir}, {"--site", &site_override}},
+                 &dirs) ||
+      dirs.empty() || store_dir.empty()) {
+    return Usage();
   }
-  if (dirs.empty() || store_dir.empty()) return Usage();
   if (!site_override.empty() && dirs.size() > 1) {
     std::fprintf(stderr, "--site only applies to a single directory\n");
     return 2;
@@ -406,18 +416,13 @@ int RunExtractFromStore(int argc, char** argv) {
   std::string site;
   bool as_json = false;
   std::vector<std::string> inputs;
-  for (int i = 0; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--store") && i + 1 < argc) {
-      store_dir = argv[++i];
-    } else if (!std::strcmp(argv[i], "--site") && i + 1 < argc) {
-      site = argv[++i];
-    } else if (!std::strcmp(argv[i], "--json")) {
-      as_json = true;
-    } else {
-      inputs.push_back(argv[i]);
-    }
+  if (!ParseArgs(argc, argv,
+                 {{"--store", &store_dir}, {"--site", &site},
+                  {"--json", &as_json}},
+                 &inputs) ||
+      inputs.empty() || store_dir.empty() || site.empty()) {
+    return Usage();
   }
-  if (inputs.empty() || store_dir.empty() || site.empty()) return Usage();
   auto store = serve::TemplateStore::Open(store_dir);
   if (!store.ok()) {
     std::fprintf(stderr, "cannot open store: %s\n",
@@ -428,10 +433,9 @@ int RunExtractFromStore(int argc, char** argv) {
   JsonWriter json;
   if (as_json) json.BeginObject(), json.Key("pages").BeginArray();
   for (const std::string& input : inputs) {
-    std::ifstream in(input);
-    std::string html((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    auto response = service.Extract({site, std::move(html)});
+    std::string page_html;
+    if (!ReadPage(input, &page_html)) return 1;
+    auto response = service.Extract({site, std::move(page_html)});
     if (as_json) {
       json.BeginObject();
       json.Key("file").String(input);
@@ -462,16 +466,6 @@ int RunExtractFromStore(int argc, char** argv) {
   return 0;
 }
 
-/// The value of the flag at argv[*i]; advances *i past it. A flag given
-/// without a value is a usage error (exit 2), as in thord.
-const char* FlagValue(int argc, char** argv, int* i) {
-  if (*i + 1 >= argc) {
-    std::fprintf(stderr, "%s needs a value\n", argv[*i]);
-    std::exit(2);
-  }
-  return argv[++*i];
-}
-
 // --- probe -------------------------------------------------------------
 
 int RunProbe(int argc, char** argv) {
@@ -483,27 +477,12 @@ int RunProbe(int argc, char** argv) {
   double drift_ab = 0.0;
   int epoch = 0;
   bool use_http = false;
-  for (int i = 0; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--http")) {
-      use_http = true;
-    } else if (!std::strcmp(argv[i], "--sites")) {
-      num_sites = std::atoi(FlagValue(argc, argv, &i));
-    } else if (!std::strcmp(argv[i], "--out")) {
-      out_dir = FlagValue(argc, argv, &i);
-    } else if (!std::strcmp(argv[i], "--queries")) {
-      num_queries = std::atoi(FlagValue(argc, argv, &i));
-    } else if (!std::strcmp(argv[i], "--drift-seed")) {
-      drift_seed =
-          static_cast<uint64_t>(std::atoll(FlagValue(argc, argv, &i)));
-    } else if (!std::strcmp(argv[i], "--drift-rate")) {
-      drift_rate = std::atof(FlagValue(argc, argv, &i));
-    } else if (!std::strcmp(argv[i], "--drift-ab")) {
-      drift_ab = std::atof(FlagValue(argc, argv, &i));
-    } else if (!std::strcmp(argv[i], "--epoch")) {
-      epoch = std::atoi(FlagValue(argc, argv, &i));
-    } else {
-      return Usage();
-    }
+  if (!ParseArgs(argc, argv,
+                 {{"--http", &use_http}, {"--sites", &num_sites},
+                  {"--out", &out_dir}, {"--queries", &num_queries},
+                  {"--drift-seed", &drift_seed}, {"--drift-rate", &drift_rate},
+                  {"--drift-ab", &drift_ab}, {"--epoch", &epoch}})) {
+    return Usage();
   }
   deepweb::FleetOptions fleet_options;
   fleet_options.num_sites = num_sites;
@@ -590,16 +569,12 @@ int RunSend(int argc, char** argv) {
   std::string host = "127.0.0.1";
   int port = 0;
   double timeout_ms = 30000.0;
-  for (int i = 0; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--port") && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--host") && i + 1 < argc) {
-      host = argv[++i];
-    } else if (!std::strcmp(argv[i], "--timeout-ms") && i + 1 < argc) {
-      timeout_ms = std::atof(argv[++i]);
-    }
+  if (!ParseArgs(argc, argv,
+                 {{"--port", &port}, {"--host", &host},
+                  {"--timeout-ms", &timeout_ms}}) ||
+      port <= 0 || port > 65535) {
+    return Usage();
   }
-  if (port <= 0 || port > 65535) return Usage();
   net::IgnoreSigPipe();
   std::string input((std::istreambuf_iterator<char>(std::cin)),
                     std::istreambuf_iterator<char>());
@@ -664,18 +639,12 @@ int RunFetch(int argc, char** argv) {
   std::string path;
   int port = 0;
   double timeout_ms = 10000.0;
-  for (int i = 0; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--port") && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
-    } else if (!std::strcmp(argv[i], "--host") && i + 1 < argc) {
-      host = argv[++i];
-    } else if (!std::strcmp(argv[i], "--path") && i + 1 < argc) {
-      path = argv[++i];
-    } else if (!std::strcmp(argv[i], "--timeout-ms") && i + 1 < argc) {
-      timeout_ms = std::atof(argv[++i]);
-    }
+  if (!ParseArgs(argc, argv,
+                 {{"--port", &port}, {"--host", &host}, {"--path", &path},
+                  {"--timeout-ms", &timeout_ms}}) ||
+      port <= 0 || port > 65535 || path.empty()) {
+    return Usage();
   }
-  if (port <= 0 || port > 65535 || path.empty()) return Usage();
   net::IgnoreSigPipe();
   net::HttpClientOptions options;
   options.connect_timeout_ms = timeout_ms;
@@ -703,12 +672,13 @@ int RunFetch(int argc, char** argv) {
 // --- extract -------------------------------------------------------------
 
 int RunExtract(int argc, char** argv) {
-  if (argc < 1) return Usage();
-  std::string dir = argv[0];
+  std::vector<std::string> dirs;
   bool as_json = false;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--json")) as_json = true;
+  if (!ParseArgs(argc, argv, {{"--json", &as_json}}, &dirs) ||
+      dirs.size() != 1) {
+    return Usage();
   }
+  const std::string& dir = dirs[0];
   std::vector<core::Page> pages;
   std::vector<std::string> names;
   if (!LoadPagesFromDir(dir, &pages, &names)) return 1;
@@ -759,12 +729,16 @@ int RunSearch(int argc, char** argv) {
   bool by_site = false;
   for (int i = 0; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--query")) {
-      while (i + 1 < argc && argv[i + 1][0] != '-') {
-        if (!query.empty()) query += ' ';
+      // One or more words: every argument up to the next flag.
+      query = FlagValue(argc, argv, &i);
+      while (i + 1 < argc && !IsFlag(argv[i + 1])) {
+        query += ' ';
         query += argv[++i];
       }
     } else if (!std::strcmp(argv[i], "--by-site")) {
       by_site = true;
+    } else if (IsFlag(argv[i])) {
+      return Usage();
     } else {
       dirs.push_back(argv[i]);
     }
@@ -812,26 +786,14 @@ int RunEval(int argc, char** argv) {
   uint64_t seed = 1234;
   std::string trace_file;
   bool print_metrics = false;
-  for (int i = 0; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--sites")) {
-      num_sites = std::atoi(FlagValue(argc, argv, &i));
-    } else if (!std::strcmp(argv[i], "--fault-rate")) {
-      fault_rate = std::atof(FlagValue(argc, argv, &i));
-    } else if (!std::strcmp(argv[i], "--retry-budget")) {
-      retry_budget = std::atoi(FlagValue(argc, argv, &i));
-    } else if (!std::strcmp(argv[i], "--deadline-ms")) {
-      deadline_ms = std::atof(FlagValue(argc, argv, &i));
-    } else if (!std::strcmp(argv[i], "--seed")) {
-      seed = static_cast<uint64_t>(std::atoll(FlagValue(argc, argv, &i)));
-    } else if (!std::strcmp(argv[i], "--trace")) {
-      trace_file = FlagValue(argc, argv, &i);
-    } else if (!std::strcmp(argv[i], "--metrics")) {
-      print_metrics = true;
-    } else {
-      return Usage();
-    }
+  if (!ParseArgs(argc, argv,
+                 {{"--sites", &num_sites}, {"--fault-rate", &fault_rate},
+                  {"--retry-budget", &retry_budget},
+                  {"--deadline-ms", &deadline_ms}, {"--seed", &seed},
+                  {"--trace", &trace_file}, {"--metrics", &print_metrics}}) ||
+      retry_budget < 1) {
+    return Usage();
   }
-  if (retry_budget < 1) return Usage();
   // One registry and tracer span the whole run — probing included — so the
   // trace shows where the time went across every site and stage.
   MetricsRegistry registry;

@@ -60,6 +60,7 @@
 #include "src/serve/wire.h"
 #include "src/util/failpoint.h"
 #include "src/util/metrics.h"
+#include "tools/flags.h"
 
 namespace thor {
 namespace {
@@ -195,86 +196,42 @@ int FleetSiteId(const std::string& site, size_t fleet_size) {
 
 int Main(int argc, char** argv) {
   DaemonOptions options;
-  for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (!std::strcmp(argv[i], "--store")) {
-      options.store_dir = next("--store");
-    } else if (!std::strcmp(argv[i], "--cache")) {
-      options.cache = static_cast<size_t>(std::atoll(next("--cache")));
-    } else if (!std::strcmp(argv[i], "--threads")) {
-      options.threads = std::atoi(next("--threads"));
-    } else if (!std::strcmp(argv[i], "--batch")) {
-      options.batch = std::atoi(next("--batch"));
-    } else if (!std::strcmp(argv[i], "--max-backlog")) {
-      options.max_backlog =
-          static_cast<size_t>(std::atoll(next("--max-backlog")));
-    } else if (!std::strcmp(argv[i], "--deadline-ms")) {
-      options.deadline_ms = std::atof(next("--deadline-ms"));
-    } else if (!std::strcmp(argv[i], "--relearn-deadline-ms")) {
-      options.relearn_deadline_ms =
-          std::atof(next("--relearn-deadline-ms"));
-    } else if (!std::strcmp(argv[i], "--max-request-bytes")) {
-      options.max_request_bytes =
-          static_cast<size_t>(std::atoll(next("--max-request-bytes")));
-    } else if (!std::strcmp(argv[i], "--fleet")) {
-      options.fleet = std::atoi(next("--fleet"));
-    } else if (!std::strcmp(argv[i], "--fault-rate")) {
-      options.fault_rate = std::atof(next("--fault-rate"));
-    } else if (!std::strcmp(argv[i], "--retry-budget")) {
-      options.retry_budget = std::atoi(next("--retry-budget"));
-    } else if (!std::strcmp(argv[i], "--probe-queries")) {
-      options.probe_queries = std::atoi(next("--probe-queries"));
-    } else if (!std::strcmp(argv[i], "--relearn-window")) {
-      options.relearn_window = std::atoi(next("--relearn-window"));
-    } else if (!std::strcmp(argv[i], "--relearn-miss-rate")) {
-      options.relearn_miss_rate = std::atof(next("--relearn-miss-rate"));
-    } else if (!std::strcmp(argv[i], "--relearn-workers")) {
-      options.relearn_workers = std::atoi(next("--relearn-workers"));
-    } else if (!std::strcmp(argv[i], "--relearn-queue")) {
-      options.relearn_queue =
-          static_cast<size_t>(std::atoll(next("--relearn-queue")));
-    } else if (!std::strcmp(argv[i], "--canary-sample")) {
-      options.canary_sample =
-          static_cast<size_t>(std::atoll(next("--canary-sample")));
-    } else if (!std::strcmp(argv[i], "--canary-floor")) {
-      options.canary_floor = std::atof(next("--canary-floor"));
-    } else if (!std::strcmp(argv[i], "--drift-seed")) {
-      options.drift_seed =
-          static_cast<uint64_t>(std::atoll(next("--drift-seed")));
-    } else if (!std::strcmp(argv[i], "--drift-rate")) {
-      options.drift_rate = std::atof(next("--drift-rate"));
-    } else if (!std::strcmp(argv[i], "--drift-ab")) {
-      options.drift_ab = std::atof(next("--drift-ab"));
-    } else if (!std::strcmp(argv[i], "--drift-every")) {
-      options.drift_every = std::atoi(next("--drift-every"));
-    } else if (!std::strcmp(argv[i], "--seed")) {
-      options.seed = static_cast<uint64_t>(std::atoll(next("--seed")));
-    } else if (!std::strcmp(argv[i], "--listen")) {
-      options.listen_port = std::atoi(next("--listen"));
-    } else if (!std::strcmp(argv[i], "--port-file")) {
-      options.port_file = next("--port-file");
-    } else if (!std::strcmp(argv[i], "--idle-timeout-ms")) {
-      options.idle_timeout_ms = std::atof(next("--idle-timeout-ms"));
-    } else if (!std::strcmp(argv[i], "--peer")) {
-      options.peers.push_back(next("--peer"));
-    } else if (!std::strcmp(argv[i], "--anti-entropy-ms")) {
-      options.anti_entropy_ms = std::atof(next("--anti-entropy-ms"));
-    } else if (!std::strcmp(argv[i], "--metrics")) {
-      options.print_metrics = true;
-    } else if (!std::strcmp(argv[i], "--list-failpoints")) {
-      for (const std::string& name : FailpointRegistry::Global()->Names()) {
-        std::printf("%s\n", name.c_str());
-      }
-      return 0;
-    } else {
-      return Usage();
+  bool list_failpoints = false;
+  if (!tools::ParseArgs(
+          argc - 1, argv + 1,
+          {{"--store", &options.store_dir}, {"--cache", &options.cache},
+           {"--threads", &options.threads}, {"--batch", &options.batch},
+           {"--max-backlog", &options.max_backlog},
+           {"--deadline-ms", &options.deadline_ms},
+           {"--relearn-deadline-ms", &options.relearn_deadline_ms},
+           {"--max-request-bytes", &options.max_request_bytes},
+           {"--fleet", &options.fleet}, {"--fault-rate", &options.fault_rate},
+           {"--retry-budget", &options.retry_budget},
+           {"--probe-queries", &options.probe_queries},
+           {"--relearn-window", &options.relearn_window},
+           {"--relearn-miss-rate", &options.relearn_miss_rate},
+           {"--relearn-workers", &options.relearn_workers},
+           {"--relearn-queue", &options.relearn_queue},
+           {"--canary-sample", &options.canary_sample},
+           {"--canary-floor", &options.canary_floor},
+           {"--drift-seed", &options.drift_seed},
+           {"--drift-rate", &options.drift_rate},
+           {"--drift-ab", &options.drift_ab},
+           {"--drift-every", &options.drift_every},
+           {"--seed", &options.seed}, {"--listen", &options.listen_port},
+           {"--port-file", &options.port_file},
+           {"--idle-timeout-ms", &options.idle_timeout_ms},
+           {"--peer", &options.peers},
+           {"--anti-entropy-ms", &options.anti_entropy_ms},
+           {"--metrics", &options.print_metrics},
+           {"--list-failpoints", &list_failpoints}})) {
+    return Usage();
+  }
+  if (list_failpoints) {
+    for (const std::string& name : FailpointRegistry::Global()->Names()) {
+      std::printf("%s\n", name.c_str());
     }
+    return 0;
   }
   if (options.store_dir.empty() || options.batch < 1 ||
       options.retry_budget < 1 || options.relearn_workers < 1) {
